@@ -127,7 +127,7 @@ struct SortOptions {
     /// Overlapped I/O through the per-disk worker engine: prefetched
     /// memoryloads and write-behind bucket stripes (DESIGN.md §9).
     /// io_steps(), structure counters, and the sorted output are
-    /// bit-identical to the synchronous path; only wall-clock changes.
+    /// bit-identical to the inline engine (kOff); only wall-clock changes.
     AsyncIo async_io = AsyncIo::kAuto;
     /// Recycle record staging buffers (base-case loads, Balance staging,
     /// stream-copy chunks, prefetch windows) through a per-sort BufferPool

@@ -28,7 +28,10 @@ namespace balsort {
 
 /// Which hierarchy model a P-* sort runs on.
 struct HierModelSpec {
-    enum class Family { kHmm, kBt, kUmh } family = Family::kHmm;
+    /// 8-byte enums here and in CostFn leave the struct without padding, so
+    /// its object representation (e.g. gtest's byte dump of a test
+    /// parameter) is fully determined by its fields.
+    enum class Family : std::uint64_t { kHmm, kBt, kUmh } family = Family::kHmm;
     CostFn f = CostFn::log(); ///< for HMM/BT
     double umh_rho = 4.0;     ///< for UMH
     double umh_nu = 1.0;      ///< for UMH

@@ -16,7 +16,7 @@ namespace balsort {
 
 class CostFn {
 public:
-    enum class Kind { kLog, kPower };
+    enum class Kind : std::uint64_t { kLog, kPower }; ///< 8 bytes: no padding
 
     static CostFn log() { return CostFn(Kind::kLog, 0.0); }
     static CostFn power(double alpha) {

@@ -42,9 +42,8 @@ std::uint64_t Histogram::percentile_upper_bound(double q) const {
     return bucket_upper_bound(kBuckets - 1);
 }
 
-MetricsRegistry::MetricsRegistry() {
-    detail::g_metrics_epoch.fetch_add(1, std::memory_order_relaxed);
-}
+MetricsRegistry::MetricsRegistry()
+    : epoch_(detail::g_metrics_epoch.fetch_add(1, std::memory_order_relaxed) + 1) {}
 
 Counter& MetricsRegistry::counter(const std::string& name) {
     std::lock_guard<std::mutex> lk(mu_);

@@ -100,6 +100,9 @@ class MetricsRegistry {
     MetricsRegistry(const MetricsRegistry&) = delete;
     MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
+    /// Process-unique instance id (never 0), as Tracer::epoch().
+    std::uint64_t epoch() const { return epoch_; }
+
     /// Create-or-lookup by name. Returned references stay valid for the
     /// registry's lifetime. Thread-safe; resolve once, record lock-free.
     Counter& counter(const std::string& name);
@@ -125,6 +128,7 @@ class MetricsRegistry {
     Snapshot snapshot() const;
 
   private:
+    std::uint64_t epoch_;
     mutable std::mutex mu_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;

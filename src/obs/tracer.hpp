@@ -67,6 +67,11 @@ class Tracer {
     /// Microseconds since tracer construction (steady clock).
     std::int64_t now_us() const;
 
+    /// Process-unique instance id (never 0): lets a cache keyed on the
+    /// installed tracer tell a new tracer from a freed one at the same
+    /// address.
+    std::uint64_t epoch() const { return epoch_; }
+
     /// Converts an already-captured steady_clock point to trace time, for
     /// call sites that timestamp before deciding whether to emit.
     std::int64_t ts_us(std::chrono::steady_clock::time_point tp) const {

@@ -35,47 +35,88 @@ struct AsyncEngine::WorkItem {
     std::vector<Record> staging;
 };
 
-/// What execute() observed, reported back to worker_loop which owns all
+/// What execute() observed, reported back to the caller which owns all
 /// completion-slot writes (under the mutex, so the watchdog cannot race).
 struct AsyncEngine::ExecResult {
     bool ok = true;
     std::exception_ptr error;
     std::uint64_t transient_retries = 0;
+    double seconds = 0; ///< execution wall time (measured for workers or obs)
 };
+
+/// Instruments resolved from the installed tracer/registry. Epochs, not
+/// pointers, identify an installation: a registry freed and another built
+/// at the same address must not inherit its histogram pointers.
+struct AsyncEngine::ObsBinding {
+    std::uint64_t tracer_epoch = 0;  ///< 0 = tracing off
+    std::uint64_t metrics_epoch = 0; ///< 0 = metrics off
+    Tracer* tracer = nullptr;
+    std::vector<std::uint32_t> lane_tids;   ///< per-disk "disk N io" lanes
+    std::vector<Histogram*> read_latency;   ///< per-disk, microseconds
+    std::vector<Histogram*> write_latency;
+    std::vector<Histogram*> backoff_us;     ///< per-disk retry backoff sleeps
+    Histogram* queue_depth = nullptr;       ///< sampled at each threaded submit
+};
+
+void retry_backoff(std::uint32_t base_us, bool jitter, std::uint32_t disk, std::uint64_t block,
+                   std::uint32_t attempt, Histogram* hist) {
+    if (base_us == 0) return;
+    std::uint64_t us = static_cast<std::uint64_t>(base_us) << std::min<std::uint32_t>(attempt, 10);
+    if (jitter) {
+        SplitMix64 j(((static_cast<std::uint64_t>(disk) << 32) ^ block) + attempt);
+        const double f = 0.5 + static_cast<double>(j.next() >> 11) * 0x1.0p-53;
+        us = static_cast<std::uint64_t>(static_cast<double>(us) * f);
+    }
+    if (hist != nullptr) hist->record(us);
+    std::this_thread::sleep_for(std::chrono::microseconds(us));
+}
 
 AsyncEngine::AsyncEngine(std::vector<Disk*> disks, std::uint32_t max_retries,
                          std::uint32_t backoff_base_us, std::uint64_t deadline_us,
-                         bool backoff_jitter)
+                         bool backoff_jitter, EngineMode mode)
     : disks_(std::move(disks)), max_retries_(max_retries), backoff_base_us_(backoff_base_us),
-      deadline_us_(deadline_us), backoff_jitter_(backoff_jitter) {
+      deadline_us_(mode == EngineMode::kThreaded ? deadline_us : 0),
+      backoff_jitter_(backoff_jitter), mode_(mode) {
     BS_REQUIRE(!disks_.empty(), "AsyncEngine: need at least one disk");
     for (const Disk* d : disks_) BS_REQUIRE(d != nullptr, "AsyncEngine: null disk");
     queues_.resize(disks_.size());
     executing_.resize(disks_.size());
-    tracer_ = balsort::tracer();
-    if (MetricsRegistry* reg = balsort::metrics(); reg != nullptr) {
-        read_latency_.reserve(disks_.size());
-        write_latency_.reserve(disks_.size());
-        backoff_us_.reserve(disks_.size());
-        for (std::size_t d = 0; d < disks_.size(); ++d) {
-            const std::string prefix = "disk" + std::to_string(d);
-            read_latency_.push_back(&reg->histogram(prefix + ".read_latency_us"));
-            write_latency_.push_back(&reg->histogram(prefix + ".write_latency_us"));
-            backoff_us_.push_back(&reg->histogram(prefix + ".backoff_us"));
-        }
-        queue_depth_ = &reg->histogram("engine.queue_depth");
-    }
-    if (tracer_ != nullptr) {
-        lane_tids_.reserve(disks_.size());
-        for (std::size_t d = 0; d < disks_.size(); ++d) {
-            lane_tids_.push_back(tracer_->lane("disk " + std::to_string(d) + " io"));
-        }
-    }
+    obs_ = std::make_shared<const ObsBinding>();
+    rebind_obs();
+    if (mode_ == EngineMode::kInline) return;
     if (deadline_us_ > 0) watchdog_ = std::thread([this] { watchdog_loop(); });
     workers_.reserve(disks_.size());
     for (std::uint32_t i = 0; i < disks_.size(); ++i) {
         workers_.emplace_back([this, i] { worker_loop(i); });
     }
+}
+
+void AsyncEngine::rebind_obs() {
+    Tracer* t = balsort::tracer();
+    MetricsRegistry* reg = balsort::metrics();
+    const std::uint64_t te = t != nullptr ? t->epoch() : 0;
+    const std::uint64_t me = reg != nullptr ? reg->epoch() : 0;
+    if (te == obs_->tracer_epoch && me == obs_->metrics_epoch) return;
+    auto b = std::make_shared<ObsBinding>();
+    b->tracer_epoch = te;
+    b->metrics_epoch = me;
+    b->tracer = t;
+    const std::size_t n = disks_.size();
+    if (reg != nullptr) {
+        for (std::size_t d = 0; d < n; ++d) {
+            const std::string prefix = "disk" + std::to_string(d);
+            b->read_latency.push_back(&reg->histogram(prefix + ".read_latency_us"));
+            b->write_latency.push_back(&reg->histogram(prefix + ".write_latency_us"));
+            b->backoff_us.push_back(&reg->histogram(prefix + ".backoff_us"));
+        }
+        if (mode_ == EngineMode::kThreaded) b->queue_depth = &reg->histogram("engine.queue_depth");
+    }
+    if (t != nullptr) {
+        for (std::size_t d = 0; d < n; ++d) {
+            b->lane_tids.push_back(t->lane("disk " + std::to_string(d) + " io"));
+        }
+    }
+    obs_ = std::move(b);
 }
 
 AsyncEngine::~AsyncEngine() {
@@ -114,6 +155,7 @@ AsyncBatch AsyncEngine::submit(std::vector<IoRequest> requests) {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         BS_REQUIRE(!stop_, "AsyncEngine::submit after stop");
+        rebind_obs();
         const auto now = std::chrono::steady_clock::now();
         for (std::uint32_t i = 0; i < requests.size(); ++i) {
             const IoRequest& r = requests[i];
@@ -122,6 +164,13 @@ AsyncBatch AsyncEngine::submit(std::vector<IoRequest> requests) {
             c.request_index = i;
             c.disk = r.disk;
             c.block = r.block;
+            if (mode_ == EngineMode::kInline) {
+                const ExecResult res = execute(r, r.read_buf, *obs_);
+                c.ok = res.ok;
+                c.error = res.error;
+                c.transient_retries = res.transient_retries;
+                continue;
+            }
             auto item = std::make_shared<WorkItem>();
             item->request = r;
             item->request_index = i;
@@ -133,10 +182,14 @@ AsyncBatch AsyncEngine::submit(std::vector<IoRequest> requests) {
             }
             queues_[r.disk].push_back(std::move(item));
         }
+        if (mode_ == EngineMode::kInline) {
+            batch.state_->remaining = 0;
+            return batch;
+        }
         submitted_ += requests.size();
         const std::uint64_t in_flight = submitted_ - executed_;
         peak_in_flight_ = std::max(peak_in_flight_, in_flight);
-        if (queue_depth_ != nullptr) queue_depth_->record(in_flight);
+        if (obs_->queue_depth != nullptr) obs_->queue_depth->record(in_flight);
     }
     cv_work_.notify_all();
     return batch;
@@ -187,6 +240,7 @@ std::vector<std::uint32_t> AsyncEngine::per_disk_in_flight() const {
 void AsyncEngine::worker_loop(std::uint32_t disk_index) {
     for (;;) {
         std::shared_ptr<WorkItem> item;
+        std::shared_ptr<const ObsBinding> obs;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             cv_work_.wait(lock, [&] { return stop_ || !queues_[disk_index].empty(); });
@@ -194,31 +248,18 @@ void AsyncEngine::worker_loop(std::uint32_t disk_index) {
             item = std::move(queues_[disk_index].front());
             queues_[disk_index].pop_front();
             executing_[disk_index] = item; // visible to the watchdog
+            obs = obs_;
         }
-        const auto t0 = std::chrono::steady_clock::now();
-        ExecResult res = execute(disk_index, *item);
-        const auto t1 = std::chrono::steady_clock::now();
-        const bool is_read = item->request.kind == IoRequest::Kind::kRead;
-        const auto latency_us = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
-        if (!read_latency_.empty()) {
-            (is_read ? read_latency_ : write_latency_)[disk_index]->record(latency_us);
-        }
-        if (tracer_ != nullptr) {
-            TraceEvent ev;
-            ev.name = is_read ? "read" : "write";
-            ev.cat = "io";
-            ev.tid = lane_tids_[disk_index];
-            ev.ts_us = tracer_->ts_us(t0);
-            ev.dur_us = static_cast<std::int64_t>(latency_us);
-            ev.args[0] = {"disk", static_cast<std::int64_t>(item->request.disk)};
-            ev.args[1] = {"block", static_cast<std::int64_t>(item->request.block)};
-            ev.n_args = 2;
-            tracer_->emit(ev);
-        }
+        // Deadline-mode reads land in the item's staging buffer: if the
+        // watchdog abandons us mid-read, the caller's buffer is already
+        // being refilled from parity and must not be overwritten by a
+        // late wakeup.
+        const ExecResult res = execute(
+            item->request, item->staging.empty() ? item->request.read_buf : item->staging.data(),
+            *obs);
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            busy_seconds_ += std::chrono::duration<double>(t1 - t0).count();
+            busy_seconds_ += res.seconds;
             executing_[disk_index] = nullptr;
             if (!item->abandoned) {
                 // This worker still owns the completion slot; a timed-out
@@ -292,54 +333,64 @@ void AsyncEngine::watchdog_loop() {
     }
 }
 
-AsyncEngine::ExecResult AsyncEngine::execute(std::uint32_t disk_index, WorkItem& item) {
-    Disk& disk = *disks_[disk_index];
-    const IoRequest& r = item.request;
+AsyncEngine::ExecResult AsyncEngine::execute(const IoRequest& r, Record* read_dst,
+                                             const ObsBinding& obs) {
+    Disk& disk = *disks_[r.disk];
     const std::size_t b = disk.block_size();
-    // Deadline-mode reads land in the item's staging buffer: if the
-    // watchdog abandons us mid-read, the caller's buffer is already being
-    // refilled from parity and must not be overwritten by a late wakeup.
-    Record* read_dst = item.staging.empty() ? r.read_buf : item.staging.data();
+    const bool is_read = r.kind == IoRequest::Kind::kRead;
+    // Workers always time (busy_seconds); an inline op only when someone
+    // records the latency, keeping the unobserved inline path clock-free.
+    const bool timed = mode_ == EngineMode::kThreaded || obs.tracer != nullptr ||
+                       !obs.read_latency.empty();
+    const auto t0 = timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
     ExecResult res;
     for (std::uint32_t attempt = 0;; ++attempt) {
         try {
-            if (r.kind == IoRequest::Kind::kRead) {
+            if (is_read) {
                 disk.read_block(r.block, std::span<Record>(read_dst, b));
             } else {
                 disk.write_block(r.block, std::span<const Record>(r.write_data, b));
             }
-            return res; // res.ok stays true
+            break; // res.ok stays true
         } catch (const TransientIoError&) {
             if (attempt >= max_retries_) {
                 res.ok = false;
                 res.error = std::current_exception();
-                return res;
+                break;
             }
             ++res.transient_retries;
-            if (backoff_base_us_ != 0) {
-                std::uint64_t us = static_cast<std::uint64_t>(backoff_base_us_)
-                                   << std::min<std::uint32_t>(attempt, 10);
-                if (backoff_jitter_) {
-                    // Deterministic per-(disk, op, attempt) jitter in
-                    // [0.5, 1.5): wall-clock only, never model state.
-                    SplitMix64 j(((static_cast<std::uint64_t>(disk_index) << 32) ^ r.block) +
-                                 attempt);
-                    const double f =
-                        0.5 + static_cast<double>(j.next() >> 11) * 0x1.0p-53;
-                    us = static_cast<std::uint64_t>(static_cast<double>(us) * f);
-                }
-                if (!backoff_us_.empty()) backoff_us_[disk_index]->record(us);
-                std::this_thread::sleep_for(std::chrono::microseconds(us));
-            }
+            retry_backoff(backoff_base_us_, backoff_jitter_, r.disk, r.block, attempt,
+                          obs.backoff_us.empty() ? nullptr : obs.backoff_us[r.disk]);
         } catch (...) {
             // Non-transient (DiskFailed, CorruptBlock, IoError, model
             // violations): defer to the submitter, who owns the shared
             // recovery state.
             res.ok = false;
             res.error = std::current_exception();
-            return res;
+            break;
         }
     }
+    if (!timed) return res;
+    const auto t1 = std::chrono::steady_clock::now();
+    res.seconds = std::chrono::duration<double>(t1 - t0).count();
+    const auto latency_us = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
+    if (!obs.read_latency.empty()) {
+        (is_read ? obs.read_latency : obs.write_latency)[r.disk]->record(latency_us);
+    }
+    if (obs.tracer != nullptr) {
+        TraceEvent ev;
+        ev.name = is_read ? "read" : "write";
+        ev.cat = "io";
+        ev.tid = obs.lane_tids[r.disk];
+        ev.ts_us = obs.tracer->ts_us(t0);
+        ev.dur_us = static_cast<std::int64_t>(latency_us);
+        ev.args[0] = {"disk", static_cast<std::int64_t>(r.disk)};
+        ev.args[1] = {"block", static_cast<std::int64_t>(r.block)};
+        ev.n_args = 2;
+        obs.tracer->emit(ev);
+    }
+    return res;
 }
 
 } // namespace balsort

@@ -1,48 +1,53 @@
 #pragma once
 /// \file async_engine.hpp
-/// Asynchronous request/completion I/O engine for the PDM layer
-/// (DESIGN.md §9).
+/// Request/completion I/O engine for the PDM layer (DESIGN.md §9): every
+/// block transfer DiskArray makes goes through one of these.
 ///
 /// The parallel disk model charges one I/O step for D blocks moving
 /// *concurrently* (§1, Theorem 1), but a sequential loop over the D
 /// per-disk transfers serializes exactly the parallelism the model counts
-/// as one step. The AsyncEngine restores the model's physics: one worker
-/// thread per disk, each draining a FIFO queue of block requests, so the
-/// D transfers of a step really do proceed in parallel and wall-clock can
-/// track `io_steps()`.
+/// as one step. In threaded mode the engine restores the model's physics:
+/// one worker thread per disk, each draining a FIFO queue of block
+/// requests, so the D transfers of a step really do proceed in parallel
+/// and wall-clock can track `io_steps()`. Inline mode runs the same
+/// requests in order on the submitting thread, with no threads at all —
+/// the right engine for memory-speed disks, where a thread hop costs more
+/// than the transfer.
 ///
 /// Division of labor (the invariants DiskArray relies on):
-///  * A worker touches ONLY its own disk's decorator stack plus local
+///  * A request touches ONLY its own disk's decorator stack plus local
 ///    counters — never DiskArray shared state (stats, health, allocator,
 ///    parity). Everything shared is mutated by the submitting thread when
 ///    it reaps completions.
 ///  * Per-disk FIFO: requests for one disk execute in submission order,
 ///    so a read of a block submitted after its write always sees the
 ///    written data, with no extra synchronization at the call sites.
-///  * Transient faults are retried on the worker (bounded, counted in the
-///    completion); any other failure is *deferred* — captured as an
-///    exception_ptr and returned to the submitter, who runs the PR-1
-///    recovery ladder (checksum verify, parity reconstruction, degraded
-///    mode) serially after `drain()`. Fault-free requests therefore run
-///    at full parallelism while recovery keeps its single-threaded,
-///    deterministic semantics.
+///  * Transient faults are retried where the request executes (bounded,
+///    counted in the completion); any other failure is *deferred* —
+///    captured as an exception_ptr and returned to the submitter, who runs
+///    the recovery ladder of DESIGN.md §8 (checksum verify, parity
+///    reconstruction, degraded mode) serially after `drain()`. Fault-free
+///    requests therefore run at full parallelism while recovery keeps its
+///    single-threaded, deterministic semantics.
 ///
 /// The engine never performs model accounting: I/O steps are charged by
-/// DiskArray at submission time, keeping `io_steps()` bit-identical to
-/// the synchronous path (the wall-clock-vs-model-cost separation).
+/// DiskArray at submission time, so `io_steps()` is the same in both
+/// modes (the wall-clock-vs-model-cost separation).
 ///
-/// Deadlines (DESIGN.md §13): with `deadline_us > 0` every READ request
-/// carries an absolute deadline and a watchdog thread abandons requests
-/// still outstanding past it, completing them with `TimedOutIo` so the
-/// submitter can fail over to parity reconstruction instead of blocking
-/// on a hung device forever. An abandoned request's worker may still be
-/// stuck inside the disk stack; it therefore executes into a private
-/// staging buffer and only copies into the caller's buffer — under the
-/// engine mutex, after checking it was not abandoned — so a late wakeup
-/// can never scribble over data the submitter already reconstructed.
-/// Writes are never abandoned: a write that eventually lands is
-/// indistinguishable from a successful one, while abandoning it would
-/// force parity bookkeeping for data that may yet appear.
+/// Deadlines (DESIGN.md §13, threaded mode only): with `deadline_us > 0`
+/// every READ request carries an absolute deadline and a watchdog thread
+/// abandons requests still outstanding past it, completing them with
+/// `TimedOutIo` so the submitter can fail over to parity reconstruction
+/// instead of blocking on a hung device forever. An abandoned request's
+/// worker may still be stuck inside the disk stack; it therefore executes
+/// into a private staging buffer and only copies into the caller's buffer
+/// — under the engine mutex, after checking it was not abandoned — so a
+/// late wakeup can never scribble over data the submitter already
+/// reconstructed. Writes are never abandoned: a write that eventually
+/// lands is indistinguishable from a successful one, while abandoning it
+/// would force parity bookkeeping for data that may yet appear. An inline
+/// engine cannot abandon the request its own caller is executing, so it
+/// ignores the deadline.
 
 #include <condition_variable>
 #include <cstdint>
@@ -105,27 +110,42 @@ private:
     std::shared_ptr<State> state_;
 };
 
-/// Wall-clock observability (DESIGN.md §9): how much the engine worked,
-/// how long submitters stalled on it, and how deep the pipeline got.
+/// Wall-clock observability (DESIGN.md §9): how much the workers worked
+/// and how deep their queues got. An inline engine has no workers and
+/// leaves all three at zero.
 struct AsyncEngineMetrics {
     double busy_seconds = 0;        ///< summed worker time executing requests
-    std::uint64_t block_ops = 0;    ///< requests executed
+    std::uint64_t block_ops = 0;    ///< requests executed by workers
     std::uint64_t max_in_flight = 0;///< peak submitted-but-not-executed depth
 };
 
-/// Per-disk worker threads + FIFO request queues + completion batches.
+/// Where an engine's requests execute.
+enum class EngineMode : std::uint8_t {
+    kThreaded, ///< one worker thread per disk; submit() returns at once
+    kInline,   ///< no threads; submit() executes the batch before returning
+};
+
+/// Sleep before retrying a transiently failed block op: `base_us <<
+/// min(attempt, 10)` microseconds (none when base_us == 0), scaled with
+/// `jitter` by a factor in [0.5, 1.5) drawn from (disk, block, attempt), so
+/// concurrent retriers decorrelate while a replay sleeps identically.
+/// Wall-clock only. The sleep is recorded in `hist` when non-null. The one
+/// backoff rule for the engine and for DiskArray's reconstruction reads.
+void retry_backoff(std::uint32_t base_us, bool jitter, std::uint32_t disk, std::uint64_t block,
+                   std::uint32_t attempt, Histogram* hist);
+
+/// Per-disk FIFO request queues + completion batches, executed by worker
+/// threads or inline (EngineMode).
 class AsyncEngine {
 public:
     /// `disks[d]` is the top of disk d's decorator stack; the engine does
     /// not own the disks. Retry policy mirrors DiskArray's FaultTolerance:
-    /// total attempts = 1 + max_retries, exponential backoff of
-    /// `backoff_base_us << attempt` microseconds between them (0 = none);
-    /// with `backoff_jitter` each sleep is scaled by a deterministic
-    /// pseudo-random factor in [0.5, 1.5) to decorrelate retry storms.
-    /// `deadline_us > 0` arms the read watchdog (see file comment).
+    /// total attempts = 1 + max_retries, with retry_backoff() between them.
+    /// `deadline_us > 0` arms the read watchdog of a threaded engine (see
+    /// file comment). An inline engine starts no thread.
     AsyncEngine(std::vector<Disk*> disks, std::uint32_t max_retries,
                 std::uint32_t backoff_base_us, std::uint64_t deadline_us = 0,
-                bool backoff_jitter = false);
+                bool backoff_jitter = false, EngineMode mode = EngineMode::kThreaded);
     /// Stops the workers. Queued-but-unexecuted requests are completed
     /// with an "engine stopped" error instead of running (destruction
     /// during unwind must not touch possibly-dead disks).
@@ -135,9 +155,16 @@ public:
     AsyncEngine& operator=(const AsyncEngine&) = delete;
 
     std::uint32_t num_disks() const { return static_cast<std::uint32_t>(disks_.size()); }
+    EngineMode mode() const { return mode_; }
 
-    /// Enqueue a batch of requests (any mix of disks/kinds; per-disk FIFO
+    /// Submit a batch of requests (any mix of disks/kinds; per-disk FIFO
     /// order is the submission order). Buffers must outlive the batch.
+    /// Threaded: enqueue and return. Inline: execute every request in
+    /// order on the calling thread (under the engine mutex, so concurrent
+    /// submitters serialize) and return a completed batch.
+    /// Either way the installed tracer and metrics registry are
+    /// re-resolved here, so instruments installed after construction are
+    /// picked up from the next submit on.
     AsyncBatch submit(std::vector<IoRequest> requests);
 
     /// Block until every request of `batch` executed; returns completions
@@ -167,27 +194,28 @@ public:
 private:
     struct WorkItem;
     struct ExecResult;
+    struct ObsBinding;
 
     void worker_loop(std::uint32_t disk_index);
-    ExecResult execute(std::uint32_t disk_index, WorkItem& item);
+    /// One request with its retry loop, latency histogram and trace span —
+    /// the same code whether a worker or an inline submit runs it.
+    ExecResult execute(const IoRequest& r, Record* read_dst, const ObsBinding& obs);
     void watchdog_loop();
+    /// Re-resolve obs_ against the installed tracer/registry (under mutex_).
+    void rebind_obs();
 
     std::vector<Disk*> disks_;
     std::uint32_t max_retries_;
     std::uint32_t backoff_base_us_;
     std::uint64_t deadline_us_;
     bool backoff_jitter_;
+    EngineMode mode_;
 
-    // Observability (DESIGN.md §11), bound once at construction from the
-    // installed tracer/metrics (balance_sort installs them before enabling
-    // the engine). All null when observability is off; workers check one
-    // pointer per op. Never touches model accounting.
-    Tracer* tracer_ = nullptr;
-    std::vector<std::uint32_t> lane_tids_;   ///< per-disk "disk N io" lanes
-    std::vector<Histogram*> read_latency_;   ///< per-disk, microseconds
-    std::vector<Histogram*> write_latency_;
-    std::vector<Histogram*> backoff_us_;     ///< per-disk retry backoff sleeps
-    Histogram* queue_depth_ = nullptr;       ///< sampled at each submit
+    // Observability (DESIGN.md §11): the installed tracer/metrics as of
+    // the last submit. Replaced, never mutated, so a worker that copied
+    // the pointer at dequeue keeps a consistent binding. Never touches
+    // model accounting.
+    std::shared_ptr<const ObsBinding> obs_;
 
     mutable std::mutex mutex_;
     std::condition_variable cv_work_;  ///< workers + watchdog: work/stop/tick

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <map>
-#include <sstream>
 #include <thread>
 
 #include "obs/flight_recorder.hpp"
@@ -62,9 +61,13 @@ void xor_into(std::span<Record> acc, std::span<const Record> src) {
     }
 }
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
 /// Decorator charging DeviceModel wall-clock per block op, on whichever
-/// thread executes the op: serial under the sync path, concurrent under the
-/// engine's per-disk workers — exactly the contrast bench_async measures.
+/// thread executes the op: serial under the inline engine, concurrent under
+/// the per-disk workers — exactly the contrast bench_async measures.
 /// Sits below the fault layers, so a retried op pays the device again only
 /// when it actually reaches the device.
 class ThrottledDisk final : public Disk {
@@ -168,6 +171,7 @@ DiskArray::DiskArray(std::uint32_t d, std::uint32_t b, DiskBackend backend, std:
     free_list_.resize(d);
     health_.assign(d, DiskHealth{});
     parity_carried_.resize(d);
+    engine_ = make_engine(EngineMode::kInline);
 }
 
 DiskArray::~DiskArray() {
@@ -254,21 +258,6 @@ void DiskArray::reclaim_job_blocks(JobIoChannel& channel) {
     channel.deferred_failure = nullptr;
 }
 
-void DiskArray::backoff(std::uint32_t attempt) const {
-    if (ft_.backoff_base_us == 0) return;
-    std::uint64_t us = static_cast<std::uint64_t>(ft_.backoff_base_us)
-                       << std::min<std::uint32_t>(attempt, 10);
-    if (ft_.backoff_jitter) {
-        // Deterministic multiplicative jitter in [0.5, 1.5): decorrelates
-        // retry bursts without touching model accounting (sleep only).
-        const double f =
-            0.5 + static_cast<double>(SplitMix64(jitter_state_++).next() >> 11) * 0x1.0p-53;
-        us = static_cast<std::uint64_t>(static_cast<double>(us) * f);
-    }
-    if (obs_backoff_ != nullptr) obs_backoff_->record(us);
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
-}
-
 void DiskArray::retrying_read(Disk& disk, std::uint32_t d, std::uint64_t index,
                               std::span<Record> out, bool for_reconstruction) {
     for (std::uint32_t attempt = 0;; ++attempt) {
@@ -286,7 +275,9 @@ void DiskArray::retrying_read(Disk& disk, std::uint32_t d, std::uint64_t index,
             ++stats_.transient_retries;
             if (JobIoChannel* c = bound_channel()) ++c->io.transient_retries;
             fault_instant("transient_retry", d, index);
-            backoff(attempt);
+            MetricsRegistry* reg = metrics();
+            retry_backoff(ft_.backoff_base_us, ft_.backoff_jitter, d, index, attempt,
+                          reg != nullptr ? &reg->histogram("io.backoff_us") : nullptr);
         } catch (const DiskFailed&) {
             if (d < health_.size()) health_[d].alive = false;
             if (for_reconstruction) {
@@ -349,96 +340,6 @@ void DiskArray::reconstruct_block(std::uint32_t d, std::uint64_t index, std::spa
     fault_instant("reconstruct", d, index);
 }
 
-void DiskArray::robust_read(const BlockOp& op, std::span<Record> out) {
-    Disk& disk = *disks_[op.disk];
-    DiskHealth& h = health_[op.disk];
-    std::exception_ptr failure;
-    bool corrupt = false;
-    for (std::uint32_t attempt = 0;; ++attempt) {
-        try {
-            disk.read_block(op.block, out);
-            return;
-        } catch (const TransientIoError&) {
-            if (attempt >= ft_.max_retries) {
-                failure = std::current_exception();
-                break;
-            }
-            ++h.transient_retries;
-            ++stats_.transient_retries;
-            if (JobIoChannel* c = bound_channel()) ++c->io.transient_retries;
-            fault_instant("transient_retry", op.disk, op.block);
-            backoff(attempt);
-        } catch (const DiskFailed&) {
-            h.alive = false;
-            failure = std::current_exception();
-            break;
-        } catch (const CorruptBlock&) {
-            ++h.corrupt_blocks;
-            ++stats_.corrupt_blocks;
-            if (JobIoChannel* c = bound_channel()) ++c->io.corrupt_blocks;
-            fault_instant("corrupt_block", op.disk, op.block);
-            corrupt = true;
-            failure = std::current_exception();
-            break;
-        } catch (const IoError&) {
-            failure = std::current_exception();
-            break;
-        }
-    }
-    if (!ft_.parity || parity_ == nullptr) std::rethrow_exception(failure);
-    reconstruct_block(op.disk, op.block, out);
-    if (corrupt && h.alive && ft_.scrub_on_reconstruct) {
-        // Best-effort scrub: rewrite the corrected image so later reads
-        // are clean. A fault during the scrub just leaves the block to be
-        // reconstructed again — never fatal.
-        try {
-            disk.write_block(op.block, out);
-        } catch (const IoError&) {
-        }
-    }
-}
-
-bool DiskArray::robust_write(const BlockOp& op, std::span<const Record> in) {
-    Disk& disk = *disks_[op.disk];
-    DiskHealth& h = health_[op.disk];
-    for (std::uint32_t attempt = 0;; ++attempt) {
-        try {
-            disk.write_block(op.block, in);
-            return true;
-        } catch (const TransientIoError&) {
-            if (attempt >= ft_.max_retries) {
-                // The disk is alive but the data never landed. With parity
-                // and checksums the block can be served from the stripe —
-                // invalidate the stale image so reads do exactly that.
-                // Without them the caller must see the failure.
-                if (ft_.parity && parity_ != nullptr && csum_[op.disk] != nullptr) break;
-                throw;
-            }
-            ++h.transient_retries;
-            ++stats_.transient_retries;
-            if (JobIoChannel* c = bound_channel()) ++c->io.transient_retries;
-            fault_instant("transient_retry", op.disk, op.block);
-            backoff(attempt);
-        } catch (const DiskFailed&) {
-            h.alive = false;
-            if (!ft_.parity || parity_ == nullptr) throw;
-            break;
-        } catch (const IoError&) {
-            if (ft_.parity && parity_ != nullptr && csum_[op.disk] != nullptr) break;
-            throw;
-        }
-    }
-    // Degraded write: parity (already updated with the intended image)
-    // carries this block; reads will reconstruct it.
-    if (h.alive && csum_[op.disk] != nullptr) csum_[op.disk]->mark_lost(op.block);
-    if (!h.alive) parity_carried_[op.disk].insert(op.block);
-    ++h.degraded_writes;
-    ++stats_.degraded_writes;
-    if (JobIoChannel* c = bound_channel()) ++c->io.degraded_writes;
-    fault_instant("degraded_write", op.disk, op.block);
-    return false;
-}
-
 void DiskArray::update_parity(std::span<const BlockOp> ops, std::span<const Record> buffers) {
     // Parity invariant: parity[i] == XOR over data disks of the *intended*
     // block i (absent blocks count as zeros). Read-modify-write per
@@ -448,6 +349,25 @@ void DiskArray::update_parity(std::span<const BlockOp> ops, std::span<const Reco
     // index, so both the old images and the old parity are absent and the
     // whole update is a single parity write with zero RMW reads — the
     // measurable payoff of the paper's "error checking friendly" mode.
+    //
+    // Old stored images of live disks come through the engine as one
+    // batch; its recovery ladder serves a corrupt one by reconstructing
+    // the intended image from the (not yet updated) stripe.
+    constexpr std::size_t kNoOld = ~std::size_t{0};
+    std::vector<std::size_t> old_at(ops.size(), kNoOld);
+    std::vector<BlockOp> old_ops;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (health_[ops[i].disk].alive && ops[i].block < disks_[ops[i].disk]->size_blocks()) {
+            old_at[i] = old_ops.size();
+            old_ops.push_back(ops[i]);
+        }
+    }
+    std::vector<Record> old_imgs(old_ops.size() * b_);
+    ReadTicket old_read = submit_read(old_ops, old_imgs);
+    complete_read(old_read);
+    stats_.rmw_reads += old_ops.size();
+    if (JobIoChannel* c = bound_channel()) c->io.rmw_reads += old_ops.size();
+
     std::map<std::uint64_t, std::vector<std::size_t>> groups;
     for (std::size_t i = 0; i < ops.size(); ++i) groups[ops[i].block].push_back(i);
     std::vector<Record> parity_img(b_), old_img(b_);
@@ -461,20 +381,12 @@ void DiskArray::update_parity(std::span<const BlockOp> ops, std::span<const Reco
             std::fill(parity_img.begin(), parity_img.end(), Record{});
         }
         for (std::size_t i : members) {
-            const std::uint32_t d = ops[i].disk;
-            if (health_[d].alive) {
-                if (idx < disks_[d]->size_blocks()) {
-                    // Old stored image; the robust ladder handles a
-                    // corrupt one by reconstructing the intended image.
-                    robust_read(ops[i], old_img);
-                    ++stats_.rmw_reads;
-                    if (JobIoChannel* c = bound_channel()) ++c->io.rmw_reads;
-                    xor_into(parity_img, old_img);
-                }
-            } else if (have_old_parity) {
+            if (old_at[i] != kNoOld) {
+                xor_into(parity_img, std::span<const Record>(old_imgs).subspan(old_at[i] * b_, b_));
+            } else if (!health_[ops[i].disk].alive && have_old_parity) {
                 // Dead disk: its old *virtual* image is recoverable from
                 // the pre-step stripe (parity ^ peers).
-                reconstruct_block(d, idx, old_img);
+                reconstruct_block(ops[i].disk, idx, old_img);
                 xor_into(parity_img, old_img);
             }
             xor_into(parity_img, buffers.subspan(i * b_, b_));
@@ -501,94 +413,74 @@ void DiskArray::check_step_legal(std::span<const BlockOp> ops) const {
     }
 }
 
-void DiskArray::bind_obs() {
-    MetricsRegistry* reg = metrics();
-    if (reg == obs_registry_) return;
-    obs_registry_ = reg;
-    obs_read_latency_.clear();
-    obs_write_latency_.clear();
-    obs_backoff_ = nullptr;
-    if (reg == nullptr) return;
-    obs_read_latency_.reserve(disks_.size());
-    obs_write_latency_.reserve(disks_.size());
-    for (std::size_t d = 0; d < disks_.size(); ++d) {
-        const std::string prefix = "disk" + std::to_string(d);
-        obs_read_latency_.push_back(&reg->histogram(prefix + ".read_latency_us"));
-        obs_write_latency_.push_back(&reg->histogram(prefix + ".write_latency_us"));
-    }
-    obs_backoff_ = &reg->histogram("io.backoff_us");
-}
-
 void DiskArray::read_step(std::span<const BlockOp> ops, std::span<Record> buffers) {
     if (ops.empty()) return;
     BS_REQUIRE(buffers.size() == ops.size() * b_, "read_step: buffer size mismatch");
-    if (engine_ != nullptr) {
-        ReadTicket ticket = read_stripe_async(ops, buffers); // gates internally
-        complete_read(ticket);
-        return;
-    }
     gate_steps(1);
-    std::lock_guard<std::recursive_mutex> lk(mu_);
-    check_step_legal(ops);
-    bind_obs();
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        auto chunk = buffers.subspan(i * b_, b_);
-        const auto t0 = obs_registry_ != nullptr ? std::chrono::steady_clock::now()
-                                                 : std::chrono::steady_clock::time_point{};
-        if (ft_.enabled()) {
-            robust_read(ops[i], chunk);
-        } else {
-            disks_[ops[i].disk]->read_block(ops[i].block, chunk);
-        }
-        if (obs_registry_ != nullptr) {
-            obs_read_latency_[ops[i].disk]->record(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count()));
-        }
+    ReadTicket ticket;
+    {
+        std::lock_guard<std::recursive_mutex> lk(mu_);
+        check_step_legal(ops);
+        charge_read_step(ops);
+        ticket = submit_read(ops, buffers);
     }
-    charge_read_step(ops);
+    complete_read(ticket);
 }
 
 void DiskArray::write_step(std::span<const BlockOp> ops, std::span<const Record> buffers) {
     if (ops.empty()) return;
     BS_REQUIRE(buffers.size() == ops.size() * b_, "write_step: buffer size mismatch");
-    if (engine_ != nullptr && !(ft_.parity && parity_ != nullptr)) {
-        write_stripe_async(ops, buffers); // gates internally
-        return;
-    }
     gate_steps(1);
-    std::lock_guard<std::recursive_mutex> lk(mu_);
-    if (engine_ != nullptr) {
-        // Parity RMW reads the array's old images directly; every queued
-        // transfer (a prefetch of those very blocks, an earlier write of
-        // them) must land first, and write-behind would let a queued read
-        // observe a stale-but-valid image before mark_lost degrades a
-        // failed write. Parity mode therefore keeps the write path fully
-        // synchronous behind a drain.
-        drain_async();
-    }
+    std::unique_lock<std::recursive_mutex> lk(mu_);
     check_step_legal(ops);
-    bind_obs();
-    // Parity first: it must read the old images before they are replaced.
-    if (ft_.parity && parity_ != nullptr) update_parity(ops, buffers);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        auto chunk = buffers.subspan(i * b_, b_);
-        const auto t0 = obs_registry_ != nullptr ? std::chrono::steady_clock::now()
-                                                 : std::chrono::steady_clock::time_point{};
-        if (ft_.enabled()) {
-            robust_write(ops[i], chunk);
-        } else {
-            disks_[ops[i].disk]->write_block(ops[i].block, chunk);
-        }
-        if (obs_registry_ != nullptr) {
-            obs_write_latency_[ops[i].disk]->record(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count()));
-        }
+    const bool parity = ft_.parity && parity_ != nullptr;
+    if (parity) {
+        // Parity first: it must read the old images before they are
+        // replaced, and it sizes the disks directly, so every queued
+        // transfer must land before it looks.
+        quiesce();
+        update_parity(ops, buffers);
     }
     charge_write_step(ops); // also bumps next_free_ past every written block
+    // Write-behind needs workers to overlap with, and parity off: a failed
+    // parity-mode write must degrade into parity before any later step can
+    // read the stale-but-valid block, so it settles here, under mu_.
+    const bool write_behind = async_enabled() && !parity;
+    JobIoChannel* jc = bound_channel();
+    PendingWrite pending;
+    pending.ops.assign(ops.begin(), ops.end());
+    pending.owner = jc;
+    if (write_behind) pending.data.assign(buffers.begin(), buffers.end());
+    const Record* src = write_behind ? pending.data.data() : buffers.data();
+    std::vector<IoRequest> requests(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        requests[i].kind = IoRequest::Kind::kWrite;
+        requests[i].disk = ops[i].disk;
+        requests[i].block = ops[i].block;
+        requests[i].write_data = src + i * b_;
+    }
+    pending.batch = engine_->submit(std::move(requests));
+    if (!write_behind) {
+        settle_write(pending);
+        return;
+    }
+    pending_writes_.push_back(std::move(pending));
+    // Opportunistic reap keeps deferred failures from aging; the per-owner
+    // bound keeps each job's buffered write-behind memory at O(D * B).
+    reap_pending_writes(/*all=*/false);
+    // Over budget: land this owner's oldest batches. The waits happen with
+    // mu_ released, so a slow device throttles only this job, never its
+    // neighbors' submissions.
+    while (std::count_if(pending_writes_.begin(), pending_writes_.end(),
+                         [jc](const PendingWrite& p) { return p.owner == jc; }) >
+           static_cast<std::ptrdiff_t>(kMaxPendingWrites)) {
+        finish_oldest_write(jc, lk);
+    }
+    if (jc != nullptr && jc->deferred_failure) {
+        const std::exception_ptr e = jc->deferred_failure;
+        jc->deferred_failure = nullptr;
+        std::rethrow_exception(e);
+    }
 }
 
 namespace {
@@ -627,34 +519,14 @@ std::vector<std::vector<std::size_t>> plan_steps(std::span<const BlockOp> ops, s
 
 void DiskArray::read_batch(std::span<const BlockOp> ops, std::span<Record> dest) {
     BS_REQUIRE(dest.size() == ops.size() * b_, "read_batch: buffer size mismatch");
-    if (engine_ != nullptr) {
-        if (ops.empty()) return;
-        // One submission for the whole batch: all disks stream their op
-        // lists concurrently instead of synchronizing at step boundaries.
-        // The model is still charged per planned step, identically to the
-        // loop below.
-        charge_read_batch(ops); // gates + locks internally
-        ReadTicket ticket;
-        {
-            std::lock_guard<std::recursive_mutex> lk(mu_);
-            ticket = submit_read(ops, dest);
-        }
-        reap_read(ticket);
-        return;
+    if (ops.empty()) return;
+    charge_read_batch(ops); // gates + locks internally
+    ReadTicket ticket;
+    {
+        std::lock_guard<std::recursive_mutex> lk(mu_);
+        ticket = submit_read(ops, dest);
     }
-    auto steps = plan_steps(ops, disks_.size(), constraint_);
-    std::vector<BlockOp> step_ops;
-    std::vector<Record> step_buf;
-    for (const auto& idxs : steps) {
-        step_ops.clear();
-        for (std::size_t i : idxs) step_ops.push_back(ops[i]);
-        step_buf.resize(step_ops.size() * b_);
-        read_step(step_ops, step_buf);
-        for (std::size_t k = 0; k < idxs.size(); ++k) {
-            std::copy_n(step_buf.begin() + static_cast<std::ptrdiff_t>(k * b_), b_,
-                        dest.begin() + static_cast<std::ptrdiff_t>(idxs[k] * b_));
-        }
-    }
+    complete_read(ticket);
 }
 
 void DiskArray::write_batch(std::span<const BlockOp> ops, std::span<const Record> src) {
@@ -674,110 +546,90 @@ void DiskArray::write_batch(std::span<const BlockOp> ops, std::span<const Record
     }
 }
 
-// ---- asynchronous request/completion path (DESIGN.md §9) ----
+// ---- engine submission and settlement (DESIGN.md §9) ----
 //
-// Division of labor: engine workers touch only their own disk's decorator
+// Division of labor: the engine touches only each disk's own decorator
 // stack; everything shared (stats_, health_, csum_, parity_, allocator) is
 // mutated here, on the submitting thread, at charge or reap time. Deferred
-// failures run the PR-1 recovery ladder serially after a full drain, so
+// failures run the recovery ladder (§8) serially after a full drain, so
 // reconstruction never races a worker on a peer disk.
 
-namespace {
-
-class StallTimer {
-public:
-    explicit StallTimer(double& acc) : acc_(acc), t0_(std::chrono::steady_clock::now()) {}
-    ~StallTimer() {
-        acc_ += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();
-    }
-
-private:
-    double& acc_;
-    std::chrono::steady_clock::time_point t0_;
-};
-
-} // namespace
-
-void DiskArray::set_async(bool enabled) {
-    std::lock_guard<std::recursive_mutex> lk(mu_);
-    if (enabled == (engine_ != nullptr)) return;
-    if (!enabled) {
-        drain_async();
-        const AsyncEngineMetrics m = engine_->metrics();
-        folded_busy_seconds_ += m.busy_seconds;
-        folded_block_ops_ += m.block_ops;
-        folded_max_in_flight_ = std::max(folded_max_in_flight_, m.max_in_flight);
-        engine_.reset();
-        return;
-    }
+std::unique_ptr<AsyncEngine> DiskArray::make_engine(EngineMode mode) {
     std::vector<Disk*> tops;
     tops.reserve(disks_.size());
     for (auto& disk : disks_) tops.push_back(disk.get());
-    // The parity device is excluded: parity upkeep reads old images and is
-    // only ever touched synchronously (see write_step).
-    engine_ = std::make_unique<AsyncEngine>(std::move(tops), ft_.max_retries, ft_.backoff_base_us,
-                                            ft_.deadline_us, ft_.backoff_jitter);
+    // The parity device is excluded: parity upkeep runs on the submitting
+    // thread under mu_ (see update_parity).
+    return std::make_unique<AsyncEngine>(std::move(tops), ft_.max_retries, ft_.backoff_base_us,
+                                         ft_.deadline_us, ft_.backoff_jitter, mode);
+}
+
+void DiskArray::set_async(bool enabled) {
+    std::lock_guard<std::recursive_mutex> lk(mu_);
+    if (enabled == async_enabled()) return;
+    drain_async();
+    const AsyncEngineMetrics m = engine_->metrics();
+    folded_busy_seconds_ += m.busy_seconds;
+    folded_block_ops_ += m.block_ops;
+    folded_max_in_flight_ = std::max(folded_max_in_flight_, m.max_in_flight);
+    engine_ = make_engine(enabled ? EngineMode::kThreaded : EngineMode::kInline);
 }
 
 std::vector<std::uint32_t> DiskArray::async_in_flight() const {
     std::lock_guard<std::recursive_mutex> lk(mu_);
-    if (engine_ == nullptr) return {};
+    if (!async_enabled()) return {};
     return engine_->per_disk_in_flight();
 }
 
 void DiskArray::drain_async() {
-    if (engine_ == nullptr) return;
-    std::exception_ptr deferred;
-    if (JobIoChannel* c = bound_channel()) {
-        // Channel-scoped drain: a bound job's boundary needs ITS writes
-        // durable, not the whole engine idle. Each own batch is waited
-        // with mu_ released (finish_write), so one job flushing never
-        // freezes its neighbors' submissions; their batches stay queued.
-        for (;;) {
-            std::unique_lock<std::recursive_mutex> lk(mu_);
-            std::size_t own = pending_writes_.size();
-            for (std::size_t i = 0; i < pending_writes_.size(); ++i) {
-                if (pending_writes_[i].owner == c) {
-                    own = i;
-                    break;
-                }
-            }
-            if (own == pending_writes_.size()) {
-                reap_pending_writes(/*all=*/false); // tidy neighbors' done batches
-                // A neighbor's reap may have discovered one of *our* write
-                // failures; the drain boundary is where it surfaces to us.
-                deferred = c->deferred_failure;
-                c->deferred_failure = nullptr;
-                break;
-            }
-            PendingWrite pending = std::move(pending_writes_[own]);
-            pending_writes_.erase(pending_writes_.begin() + static_cast<std::ptrdiff_t>(own));
-            finish_write(std::move(pending), lk);
-        }
-    } else {
-        std::lock_guard<std::recursive_mutex> lk(mu_);
-        reap_pending_writes(/*all=*/true);
-        double stall = 0;
-        {
-            StallTimer t(stall);
-            engine_->drain();
-        }
-        stats_.engine_stall_seconds += stall;
+    std::unique_lock<std::recursive_mutex> lk(mu_);
+    JobIoChannel* c = bound_channel();
+    if (c == nullptr) {
+        quiesce();
+        return;
     }
-    if (deferred) std::rethrow_exception(deferred);
+    // Channel-scoped drain: a bound job's boundary needs ITS writes
+    // durable, not the whole engine idle. Each own batch is waited with
+    // mu_ released, so one job flushing never freezes its neighbors'
+    // submissions; their batches stay queued.
+    while (finish_oldest_write(c, lk)) {
+    }
+    reap_pending_writes(/*all=*/false); // tidy neighbors' done batches
+    // A neighbor's reap may have discovered one of *our* write failures;
+    // the drain boundary is where it surfaces to us.
+    if (c->deferred_failure) {
+        const std::exception_ptr e = c->deferred_failure;
+        c->deferred_failure = nullptr;
+        std::rethrow_exception(e);
+    }
+}
+
+void DiskArray::quiesce() {
+    reap_pending_writes(/*all=*/true);
+    if (!async_enabled()) return; // nothing is ever in flight inline
+    const auto t0 = std::chrono::steady_clock::now();
+    engine_->drain();
+    add_stall(seconds_since(t0));
 }
 
 void DiskArray::refresh_engine_stats() const {
     std::lock_guard<std::recursive_mutex> lk(mu_);
-    stats_.engine_busy_seconds = folded_busy_seconds_;
-    stats_.async_block_ops = folded_block_ops_;
-    stats_.max_in_flight = folded_max_in_flight_;
-    if (engine_ != nullptr) {
-        const AsyncEngineMetrics m = engine_->metrics();
-        stats_.engine_busy_seconds += m.busy_seconds;
-        stats_.async_block_ops += m.block_ops;
-        stats_.max_in_flight = std::max(stats_.max_in_flight, m.max_in_flight);
-    }
+    const AsyncEngineMetrics m = engine_->metrics();
+    stats_.engine_busy_seconds = folded_busy_seconds_ + m.busy_seconds;
+    stats_.async_block_ops = folded_block_ops_ + m.block_ops;
+    stats_.max_in_flight = std::max(folded_max_in_flight_, m.max_in_flight);
+}
+
+double DiskArray::wait_batch(AsyncBatch& batch) {
+    if (engine_->done(batch)) return 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    engine_->wait(batch);
+    return seconds_since(t0);
+}
+
+void DiskArray::add_stall(double seconds) {
+    stats_.engine_stall_seconds += seconds;
+    if (JobIoChannel* c = bound_channel()) c->io.engine_stall_seconds += seconds;
 }
 
 void DiskArray::charge_read_step(std::span<const BlockOp> ops) {
@@ -820,9 +672,9 @@ void DiskArray::charge_read_batch(std::span<const BlockOp> ops) {
 
 DiskArray::ReadTicket DiskArray::submit_read(std::span<const BlockOp> ops,
                                              std::span<Record> dest) {
-    BS_REQUIRE(engine_ != nullptr, "submit_read: async engine is off");
     BS_REQUIRE(dest.size() == ops.size() * b_, "submit_read: buffer size mismatch");
     ReadTicket ticket;
+    if (ops.empty()) return ticket;
     ticket.ops_.assign(ops.begin(), ops.end());
     ticket.dest_ = dest;
     std::vector<IoRequest> requests(ops.size());
@@ -836,23 +688,12 @@ DiskArray::ReadTicket DiskArray::submit_read(std::span<const BlockOp> ops,
     return ticket;
 }
 
-DiskArray::ReadTicket DiskArray::read_stripe_async(std::span<const BlockOp> ops,
-                                                   std::span<Record> dest) {
-    BS_REQUIRE(engine_ != nullptr, "read_stripe_async: async engine is off");
-    if (ops.empty()) return ReadTicket{};
-    gate_steps(1);
-    std::lock_guard<std::recursive_mutex> lk(mu_);
-    check_step_legal(ops);
-    charge_read_step(ops);
-    return submit_read(ops, dest);
-}
-
 DiskArray::ReadTicket DiskArray::prefetch_read(std::span<const BlockOp> ops,
                                                std::span<Record> dest) {
     // No legality check: a prefetch is a physical batch (several blocks of
     // one disk are fine — they queue FIFO), not a model step. No charging:
-    // the consumer calls charge_read_batch over the same ops when the sync
-    // path would have read them.
+    // the consumer calls charge_read_batch over the same ops when
+    // read_batch would have read them.
     if (ops.empty()) return ReadTicket{};
     std::lock_guard<std::recursive_mutex> lk(mu_);
     stats_.prefetch_block_ops += ops.size();
@@ -866,39 +707,19 @@ DiskArray::ReadTicket DiskArray::prefetch_read(std::span<const BlockOp> ops,
     return ticket;
 }
 
-void DiskArray::complete_read(ReadTicket& ticket) { reap_read(ticket); }
-
-void DiskArray::reap_read(ReadTicket& ticket) {
+void DiskArray::complete_read(ReadTicket& ticket) {
     if (!ticket.batch_.valid()) return;
-    bool any_failed = false;
-    double stall = 0;
-    {
-        // Wait WITHOUT the array lock: a job stalled on its own transfers
-        // must not block neighbors' charges. Workers never take the lock,
-        // so the batch always completes.
-        StallTimer t(stall);
-        const std::vector<IoCompletion>& comps = engine_->wait(ticket.batch_);
-        for (const IoCompletion& c : comps) {
-            if (!c.ok) any_failed = true;
-        }
-    }
+    // Wait WITHOUT the array lock: a job stalled on its own transfers must
+    // not block neighbors' charges. Workers never take the lock, so the
+    // batch always completes.
+    const double stall = wait_batch(ticket.batch_);
     std::lock_guard<std::recursive_mutex> lk(mu_);
-    JobIoChannel* jc = bound_channel();
-    stats_.engine_stall_seconds += stall;
-    if (jc != nullptr) jc->io.engine_stall_seconds += stall;
+    add_stall(stall);
     const std::vector<IoCompletion>& comps = engine_->wait(ticket.batch_); // idempotent
-    for (const IoCompletion& c : comps) {
-        if (c.transient_retries != 0) {
-            health_[c.disk].transient_retries += c.transient_retries;
-            stats_.transient_retries += c.transient_retries;
-            if (jc != nullptr) jc->io.transient_retries += c.transient_retries;
-        }
-    }
-    if (any_failed) {
-        // Quiesce the array, then run the ladder serially in request order
-        // — the same order the synchronous loop would have hit failures.
-        reap_pending_writes(/*all=*/true);
-        engine_->drain();
+    fold_retries(comps, bound_channel());
+    if (std::any_of(comps.begin(), comps.end(), [](const IoCompletion& c) { return !c.ok; })) {
+        // Quiesce the array, then run the ladder serially in request order.
+        quiesce();
         for (const IoCompletion& c : comps) {
             if (c.ok) continue;
             handle_read_failure(ticket.ops_[c.request_index], c.error,
@@ -913,16 +734,28 @@ void DiskArray::reap_read(ReadTicket& ticket) {
     ticket = ReadTicket{};
 }
 
+void DiskArray::fold_retries(const std::vector<IoCompletion>& comps, JobIoChannel* owner) {
+    for (const IoCompletion& c : comps) {
+        if (c.transient_retries == 0) continue;
+        health_[c.disk].transient_retries += c.transient_retries;
+        stats_.transient_retries += c.transient_retries;
+        if (owner != nullptr) owner->io.transient_retries += c.transient_retries;
+        for (std::uint64_t k = 0; k < c.transient_retries; ++k) {
+            fault_instant("transient_retry", c.disk, c.block);
+        }
+    }
+}
+
 void DiskArray::handle_read_failure(const BlockOp& op, const std::exception_ptr& error,
                                     std::span<Record> out) {
     DiskHealth& h = health_[op.disk];
     bool corrupt = false;
-    // Classify exactly as robust_read's catch ladder does; anything outside
-    // the IoError family (model violations) propagates.
+    // Classify; anything outside the IoError family (model violations)
+    // propagates.
     try {
         std::rethrow_exception(error);
     } catch (const TransientIoError&) {
-        // retries exhausted on the worker (already counted)
+        // retries exhausted in the engine (already counted)
     } catch (const DiskFailed&) {
         h.alive = false;
     } catch (const CorruptBlock&) {
@@ -952,127 +785,44 @@ void DiskArray::handle_read_failure(const BlockOp& op, const std::exception_ptr&
     }
 }
 
-void DiskArray::write_stripe_async(std::span<const BlockOp> ops, std::span<const Record> src) {
-    BS_REQUIRE(engine_ != nullptr, "write_stripe_async: async engine is off");
-    BS_REQUIRE(!(ft_.parity && parity_ != nullptr),
-               "write_stripe_async: parity mode requires the synchronous write path");
-    if (ops.empty()) return;
-    BS_REQUIRE(src.size() == ops.size() * b_, "write_stripe_async: buffer size mismatch");
-    gate_steps(1);
-    std::unique_lock<std::recursive_mutex> lk(mu_);
-    check_step_legal(ops);
-    charge_write_step(ops);
-    JobIoChannel* jc = bound_channel();
-    PendingWrite pending;
-    pending.ops.assign(ops.begin(), ops.end());
-    pending.data.assign(src.begin(), src.end());
-    pending.owner = jc;
-    std::vector<IoRequest> requests(ops.size());
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        requests[i].kind = IoRequest::Kind::kWrite;
-        requests[i].disk = ops[i].disk;
-        requests[i].block = ops[i].block;
-        requests[i].write_data = pending.data.data() + i * b_;
-    }
-    pending.batch = engine_->submit(std::move(requests));
-    pending_writes_.push_back(std::move(pending));
-    // Opportunistic reap keeps deferred failures from aging; the per-owner
-    // bound keeps each job's buffered write-behind memory at O(D * B).
-    reap_pending_writes(/*all=*/false);
-    for (;;) {
-        std::size_t own = 0;
-        for (const PendingWrite& p : pending_writes_) {
-            if (p.owner == jc) ++own;
-        }
-        if (own <= kMaxPendingWrites) break;
-        // Over budget: land this owner's oldest batch. The wait happens
-        // with mu_ released (finish_write) so a slow device throttles only
-        // this job, never its neighbors' submissions.
-        for (std::size_t i = 0; i < pending_writes_.size(); ++i) {
-            if (pending_writes_[i].owner == jc) {
-                PendingWrite oldest = std::move(pending_writes_[i]);
-                pending_writes_.erase(pending_writes_.begin() +
-                                      static_cast<std::ptrdiff_t>(i));
-                finish_write(std::move(oldest), lk);
-                break;
-            }
-        }
-    }
-    if (jc != nullptr && jc->deferred_failure) {
-        const std::exception_ptr e = jc->deferred_failure;
-        jc->deferred_failure = nullptr;
-        std::rethrow_exception(e);
-    }
-}
-
 void DiskArray::reap_pending_writes(bool all) {
-    if (engine_ == nullptr) return;
     while (!pending_writes_.empty()) {
         if (!all && !engine_->done(pending_writes_.front().batch)) break;
-        reap_write_at(0);
+        PendingWrite pending = std::move(pending_writes_.front());
+        pending_writes_.pop_front();
+        settle_write(pending);
     }
 }
 
-void DiskArray::reap_write_at(std::size_t idx) {
-    PendingWrite pending = std::move(pending_writes_[idx]);
-    pending_writes_.erase(pending_writes_.begin() + static_cast<std::ptrdiff_t>(idx));
-    bool any_failed = false;
-    double stall = 0;
-    {
-        StallTimer t(stall);
-        const std::vector<IoCompletion>& comps = engine_->wait(pending.batch);
-        for (const IoCompletion& c : comps) {
-            if (!c.ok) any_failed = true;
-        }
-    }
+bool DiskArray::finish_oldest_write(JobIoChannel* owner,
+                                    std::unique_lock<std::recursive_mutex>& lk) {
+    const auto it = std::find_if(pending_writes_.begin(), pending_writes_.end(),
+                                 [owner](const PendingWrite& p) { return p.owner == owner; });
+    if (it == pending_writes_.end()) return false;
+    // Off the deque (under the lock) the batch is this thread's alone, so
+    // no other thread can reap it while mu_ is released for the wait.
+    PendingWrite pending = std::move(*it);
+    pending_writes_.erase(it);
+    lk.unlock();
+    const double stall = wait_batch(pending.batch);
+    lk.lock();
+    add_stall(stall);
+    settle_write(pending);
+    return true;
+}
+
+void DiskArray::settle_write(PendingWrite& pending) {
     // Stall is charged to whoever waited; retries/failures belong to the
     // batch's owner regardless of which job's drain reaped it.
-    stats_.engine_stall_seconds += stall;
-    if (JobIoChannel* c = bound_channel()) c->io.engine_stall_seconds += stall;
+    add_stall(wait_batch(pending.batch));
     const std::vector<IoCompletion>& comps = engine_->wait(pending.batch);
+    fold_retries(comps, pending.owner);
+    if (std::all_of(comps.begin(), comps.end(), [](const IoCompletion& c) { return c.ok; })) {
+        return;
+    }
+    engine_->drain(); // mark_lost must not race the disk's worker
     for (const IoCompletion& c : comps) {
-        if (c.transient_retries != 0) {
-            health_[c.disk].transient_retries += c.transient_retries;
-            stats_.transient_retries += c.transient_retries;
-            if (pending.owner != nullptr) pending.owner->io.transient_retries += c.transient_retries;
-        }
-    }
-    if (any_failed) {
-        engine_->drain(); // mark_lost must not race the disk's worker
-        for (const IoCompletion& c : comps) {
-            if (!c.ok) handle_write_failure(pending.ops[c.request_index], c.error, pending.owner);
-        }
-    }
-}
-
-void DiskArray::finish_write(PendingWrite pending, std::unique_lock<std::recursive_mutex>& lk) {
-    bool any_failed = false;
-    double stall = 0;
-    lk.unlock();
-    {
-        // The batch left pending_writes_ under the lock, so this thread is
-        // its sole owner; wait() is idempotent and engine-internal-locked.
-        StallTimer t(stall);
-        for (const IoCompletion& c : engine_->wait(pending.batch)) {
-            if (!c.ok) any_failed = true;
-        }
-    }
-    lk.lock();
-    stats_.engine_stall_seconds += stall;
-    if (JobIoChannel* c = bound_channel()) c->io.engine_stall_seconds += stall;
-    const std::vector<IoCompletion>& comps = engine_->wait(pending.batch);
-    for (const IoCompletion& c : comps) {
-        if (c.transient_retries != 0) {
-            health_[c.disk].transient_retries += c.transient_retries;
-            stats_.transient_retries += c.transient_retries;
-            if (pending.owner != nullptr) pending.owner->io.transient_retries += c.transient_retries;
-        }
-    }
-    if (any_failed) {
-        engine_->drain(); // mark_lost must not race the disk's worker
-        for (const IoCompletion& c : comps) {
-            if (!c.ok) handle_write_failure(pending.ops[c.request_index], c.error, pending.owner);
-        }
+        if (!c.ok) handle_write_failure(pending.ops[c.request_index], c.error, pending.owner);
     }
 }
 
@@ -1088,10 +838,10 @@ void DiskArray::handle_write_failure(const BlockOp& op, const std::exception_ptr
         dead = true;
     } catch (const IoError&) {
     }
-    // Mirror robust_write's failure tail. Degrading into parity needs a
-    // parity stripe carrying the intended image — impossible here, since
-    // write-behind is only legal with parity off — so in practice every
-    // deferred write failure surfaces to the caller.
+    // Degrading into parity needs a parity stripe already carrying the
+    // intended image: only a parity-mode write (settled within its step,
+    // after update_parity) can take that branch. Without parity — every
+    // write-behind batch — the failure surfaces to the caller.
     bool must_surface = false;
     if (dead) {
         if (!ft_.parity || parity_ == nullptr) must_surface = true;
@@ -1108,6 +858,8 @@ void DiskArray::handle_write_failure(const BlockOp& op, const std::exception_ptr
         }
         std::rethrow_exception(error);
     }
+    // Degraded write: parity carries this block; reads will reconstruct
+    // it. A live disk's stale image is invalidated so reads do exactly that.
     if (h.alive && csum_[op.disk] != nullptr) csum_[op.disk]->mark_lost(op.block);
     if (!h.alive) parity_carried_[op.disk].insert(op.block);
     ++h.degraded_writes;

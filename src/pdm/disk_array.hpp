@@ -32,10 +32,8 @@
 namespace balsort {
 
 class FileDisk;
-class Histogram;
 struct JobIoChannel;
 class MemDisk;
-class MetricsRegistry;
 
 enum class DiskBackend { kMemory, kFile };
 
@@ -44,9 +42,9 @@ enum class DiskBackend { kMemory, kFile };
 /// microseconds — positioning latency plus transfer time. Model accounting
 /// is untouched (a throttled array counts the same io_steps()); only
 /// wall-clock changes. Page-cached scratch files serve blocks at memcpy
-/// speed, which hides exactly the per-step serialization the async engine
-/// removes — the device model restores honest physics for sync-vs-async
-/// wall-clock comparisons (bench_async).
+/// speed, which hides exactly the per-step serialization the threaded
+/// engine removes — the device model restores honest physics for
+/// inline-vs-threaded wall-clock comparisons (bench_async).
 struct DeviceModel {
     std::uint32_t latency_us = 0; ///< fixed positioning cost per block op
     double us_per_record = 0.0;   ///< streaming transfer cost
@@ -234,32 +232,45 @@ public:
     /// job's in-flight work must be drained first.
     void reclaim_job_blocks(JobIoChannel& channel);
 
+    // Every transfer below goes through the array's AsyncEngine
+    // (DESIGN.md §9): the step is charged to the model, submitted, then
+    // settled — completions reaped, retries counted, and any deferred
+    // failure run through the one recovery ladder (§8). The engine is
+    // inline (transfers run on the calling thread) unless set_async(true)
+    // selected per-disk workers; the model charges are the same either way.
+
     /// One parallel read step. `buffers` is ops.size()*B records, the i-th
     /// chunk receiving the i-th op's block. Ops must respect `constraint()`.
+    /// Returns with the data in `buffers`.
     void read_step(std::span<const BlockOp> ops, std::span<Record> buffers);
 
-    /// One parallel write step (same layout rules as read_step).
+    /// One parallel write step (same layout rules as read_step). With
+    /// worker threads and parity off the step is write-behind: the data is
+    /// copied, submitted, and settled later (at most kMaxPendingWrites
+    /// batches in flight per job; a failure surfaces at a later write or at
+    /// drain_async()). Otherwise it settles before returning — parity RMW
+    /// must read old images, and a failed write must degrade into parity
+    /// before anyone can read the stale block.
     void write_step(std::span<const BlockOp> ops, std::span<const Record> buffers);
 
     /// Read an arbitrary list of blocks using the fewest steps: blocks are
     /// grouped per disk; step t issues each disk's t-th remaining op.
-    /// Costs max-per-disk steps. dest receives blocks in `ops` order.
+    /// Costs max-per-disk steps, charged per planned step, but submitted as
+    /// one engine batch so every disk streams its op list without waiting
+    /// at step boundaries. dest receives blocks in `ops` order.
     void read_batch(std::span<const BlockOp> ops, std::span<Record> dest);
 
-    /// Write counterpart of read_batch.
+    /// Write counterpart of read_batch (one write_step per planned step).
     void write_batch(std::span<const BlockOp> ops, std::span<const Record> src);
 
-    // ---- asynchronous request/completion API (DESIGN.md §9) ----
+    // ---- explicit overlap (DESIGN.md §9) ----
     //
-    // With the engine enabled, read_step/write_step/read_batch/write_batch
-    // transparently route through it, so callers need nothing below unless
-    // they want explicit overlap (prefetch ahead of consumption). Model
-    // accounting is charged by the *submitting* thread using exactly the
-    // step decomposition of the synchronous path, so io_steps() and the
-    // step-observer sequence are bit-identical with the engine on or off.
+    // Callers that want physical I/O ahead of consumption split a read into
+    // an uncharged prefetch_read and a later charge_read_batch, so the model
+    // is charged exactly when read_batch would have charged it.
 
-    /// Completion handle for one asynchronous stripe read. Move-only.
-    /// Obtain via read_stripe_async/prefetch_read; redeem via complete_read.
+    /// Completion handle for one submitted read batch. Move-only. Obtain
+    /// via prefetch_read; redeem via complete_read.
     class ReadTicket {
     public:
         ReadTicket() = default;
@@ -275,33 +286,30 @@ public:
         std::uint64_t trace_id_ = 0; ///< async trace pair id (0 = untraced)
     };
 
-    /// Start/stop the per-disk worker engine. Enabling is cheap; disabling
-    /// drains all in-flight work first and folds engine metrics into
+    /// Select the engine: per-disk worker threads (true) or inline on the
+    /// calling thread (false, the state after construction). Switching
+    /// drains all in-flight work first and folds the workers' metrics into
     /// stats(). No-op if already in the requested state.
     void set_async(bool enabled);
-    bool async_enabled() const { return engine_ != nullptr; }
+    /// True while per-disk worker threads execute the transfers.
+    bool async_enabled() const { return engine_->mode() == EngineMode::kThreaded; }
 
     /// Complete all in-flight work: reap pending write-behind batches
     /// (surfacing any deferred failures) and wait for the engine to idle.
     /// After this, direct disk access (disk_for_testing, reconstruct_block)
-    /// is safe. No-op when the engine is off.
+    /// is safe. Nothing is ever in flight on an inline engine.
     void drain_async();
 
-    /// Per-disk in-flight request depth of the async engine (empty when
-    /// the engine is off) — live-gauge source for the stats endpoint.
+    /// Per-disk in-flight request depth of the worker engine (empty when
+    /// the engine is inline) — live-gauge source for the stats endpoint.
     /// Wall-clock observability only; touches no model state.
     std::vector<std::uint32_t> async_in_flight() const;
-
-    /// Asynchronous read_step: charges one parallel read step now, submits
-    /// the transfers, returns a ticket. `dest` must stay valid until the
-    /// ticket is completed. Recovery (retry exhaustion, corruption, death)
-    /// happens inside complete_read, identical to the sync ladder.
-    ReadTicket read_stripe_async(std::span<const BlockOp> ops, std::span<Record> dest);
 
     /// Submit transfers WITHOUT charging model costs — pair each prefetch
     /// with a later charge_read_batch over the same ops at consumption
     /// time. This is how RunReader/VRunSource overlap: physical I/O runs
-    /// ahead while the model is charged exactly when the sync path would.
+    /// ahead while the model is charged exactly when read_batch would.
+    /// `dest` must stay valid until the ticket is completed.
     ReadTicket prefetch_read(std::span<const BlockOp> ops, std::span<Record> dest);
 
     /// Charge the model cost of reading `ops` as read_batch would (step
@@ -313,13 +321,6 @@ public:
     /// deferred failure (in request order, after draining the engine).
     /// Idempotent: completing an empty/moved-from ticket is a no-op.
     void complete_read(ReadTicket& ticket);
-
-    /// Asynchronous write_step (write-behind): charges one parallel write
-    /// step, copies `src` into an internally owned buffer, submits, and
-    /// returns immediately. Completed batches are reaped opportunistically;
-    /// at most a bounded number stay in flight. Requires parity OFF (parity
-    /// RMW must read old images — write_step falls back to sync there).
-    void write_stripe_async(std::span<const BlockOp> ops, std::span<const Record> src);
 
     /// Allocate one block index on `disk`: the shallowest free (released)
     /// index if any, else a fresh one past the high-water mark. Shallow
@@ -388,7 +389,7 @@ public:
     /// Recompute block `index` of disk `d` from the parity stripe:
     /// XOR of the parity block and every peer disk's block at `index`
     /// (missing blocks count as zeros). Public so tests can exercise it;
-    /// the robust read path calls it automatically. Throws UnrecoverableIo
+    /// the read recovery ladder calls it automatically. Throws UnrecoverableIo
     /// if parity is off or a peer read hits a non-transient fault.
     void reconstruct_block(std::uint32_t d, std::uint64_t index, std::span<Record> out);
 
@@ -407,9 +408,11 @@ public:
 private:
     void check_step_legal(std::span<const BlockOp> ops) const;
 
-    // -- async internals (all called on the submitting thread) --
-    /// One write-behind batch: the engine writes from `data`, which we own
-    /// until the batch is reaped. `owner` is the submitting job's channel
+    // -- engine internals (all called on the submitting thread) --
+    /// One submitted write batch. A write-behind batch's engine requests
+    /// point into `data`, which we own until the batch is reaped (a batch
+    /// settled within its step writes straight from the caller's buffer
+    /// and leaves `data` empty). `owner` is the submitting job's channel
     /// (null when unbound): whichever thread reaps the batch, its retries
     /// and failures are attributed — and deferred — to the owner.
     struct PendingWrite {
@@ -433,53 +436,49 @@ private:
     void charge_write_step(std::span<const BlockOp> ops);
     /// Submit a read batch to the engine without charging (physical only).
     ReadTicket submit_read(std::span<const BlockOp> ops, std::span<Record> dest);
-    /// Wait + fold retry counters + recovery ladder for deferred failures.
-    void reap_read(ReadTicket& ticket);
-    /// Ladder for one deferred read failure (mirrors robust_read's tail:
-    /// classify, then parity reconstruction + scrub or rethrow).
+    /// Ladder for one deferred read failure: classify, then parity
+    /// reconstruction (+ scrub of a corrupt block) or rethrow.
     void handle_read_failure(const BlockOp& op, const std::exception_ptr& error,
                              std::span<Record> out);
     /// Reap completed (or, with `all`, every) pending write-behind batch.
     void reap_pending_writes(bool all);
-    /// Blocking reap of the pending write-behind batch at `idx`.
-    void reap_write_at(std::size_t idx);
-    /// Blocking reap of one batch already REMOVED from pending_writes_:
-    /// releases `lk` around the engine wait (no other thread can reap a
-    /// batch that left the deque), then re-locks to settle accounting and
-    /// run the failure ladder. Keeps a stalled writer from serializing
-    /// every other job's submissions on mu_.
-    void finish_write(PendingWrite pending, std::unique_lock<std::recursive_mutex>& lk);
-    /// Classify + handle one failed async write op (mirrors robust_write's
-    /// failure tail: degrade into parity or rethrow). A failure belonging
-    /// to another job's `owner` channel is parked there instead of thrown.
+    /// Reap every pending write and wait for the workers to idle, so the
+    /// caller (holding mu_) may touch the disks directly.
+    void quiesce();
+    /// Settle `owner`'s oldest pending write-behind batch with `lk`
+    /// released around the engine wait; false if it has none. Keeps a
+    /// stalled writer from serializing every other job's submissions on
+    /// mu_.
+    bool finish_oldest_write(JobIoChannel* owner, std::unique_lock<std::recursive_mutex>& lk);
+    /// Wait for a write batch (under mu_), fold its retry counters into
+    /// the owner, and run the write ladder on each failed op.
+    void settle_write(PendingWrite& pending);
+    /// Classify + handle one failed write op: degrade into parity or
+    /// rethrow. A failure belonging to another job's `owner` channel is
+    /// parked there instead of thrown.
     void handle_write_failure(const BlockOp& op, const std::exception_ptr& error,
                               JobIoChannel* owner);
+    /// Fold completions' worker-side transient retries into health_,
+    /// stats_ and `owner` (one fault instant per retry).
+    void fold_retries(const std::vector<IoCompletion>& comps, JobIoChannel* owner);
+    /// Wait for `batch`; returns the seconds spent blocked (0 when it was
+    /// already complete, as every inline batch is).
+    double wait_batch(AsyncBatch& batch);
+    /// Charge submitter wall time blocked on the engine to stats_ and the
+    /// bound channel.
+    void add_stall(double seconds);
     /// Fold live engine metrics into stats_ (const: stats_ is mutable).
     void refresh_engine_stats() const;
+    std::unique_ptr<AsyncEngine> make_engine(EngineMode mode);
 
-    /// Re-resolve the per-disk latency histograms when the installed
-    /// MetricsRegistry changed since the last step. Lazy because arrays are
-    /// usually constructed before balance_sort installs the registry; one
-    /// pointer compare per step once bound. Wall-clock observability only —
-    /// never touches model accounting.
-    void bind_obs();
-
-    /// Read with the full recovery ladder: bounded retry on transient
-    /// faults, then parity reconstruction (plus scrubbing) on death,
-    /// corruption, or exhausted retries.
-    void robust_read(const BlockOp& op, std::span<Record> out);
-    /// Write with bounded retry; a dead disk degrades the write into a
-    /// parity-only update (the data lives implicitly in the stripe).
-    /// Returns false iff the data write was absorbed by parity.
-    bool robust_write(const BlockOp& op, std::span<const Record> in);
-    /// Retry-only read used inside reconstruction and parity RMW: never
-    /// recurses into reconstruction; escalates to UnrecoverableIo instead.
+    /// Retry-only read of the parity device or a reconstruction peer:
+    /// never recurses into reconstruction; escalates to UnrecoverableIo
+    /// instead.
     void retrying_read(Disk& disk, std::uint32_t d, std::uint64_t index, std::span<Record> out,
                        bool for_reconstruction);
     /// Update the parity stripe for this step's writes. Must run before
-    /// the data writes land (it reads the old images).
+    /// the data writes land (it reads the old images, through the engine).
     void update_parity(std::span<const BlockOp> ops, std::span<const Record> buffers);
-    void backoff(std::uint32_t attempt) const;
 
     std::uint32_t b_;
     DiskBackend backend_;
@@ -515,8 +514,6 @@ private:
     /// Crash-consistency quarantine (see set_release_quarantine).
     bool quarantine_on_ = false;
     std::vector<BlockOp> quarantined_;
-    /// Deterministic jitter stream for backoff() (wall-clock only).
-    mutable std::uint64_t jitter_state_ = 0x243f6a8885a308d3ULL;
     /// Guards all shared bookkeeping (stats_, allocator, quarantine,
     /// health_, parity/csum state, pending_writes_) against concurrent job
     /// threads. Recursive: the recovery ladder re-enters public entries.
@@ -526,17 +523,11 @@ private:
     mutable IoStats stats_;
     StepObserver observer_;
 
-    // -- observability bindings (DESIGN.md §11; empty when metrics off) --
-    MetricsRegistry* obs_registry_ = nullptr;
-    std::vector<Histogram*> obs_read_latency_;  ///< per data disk, microseconds
-    std::vector<Histogram*> obs_write_latency_;
-    Histogram* obs_backoff_ = nullptr; ///< sync-path retry backoff sleeps
-
-    // -- async engine state (null / empty when the engine is off) --
-    std::unique_ptr<AsyncEngine> engine_; ///< destroyed before disks_
-    std::deque<PendingWrite> pending_writes_;
-    // Metrics of engines already torn down (set_async(false) folds them
-    // here so stats() stays monotone across enable/disable cycles).
+    // -- engine state --
+    std::unique_ptr<AsyncEngine> engine_; ///< never null; destroyed before disks_
+    std::deque<PendingWrite> pending_writes_; ///< write-behind (threaded only)
+    // Metrics of engines already torn down (set_async folds them here so
+    // stats() stays monotone across enable/disable cycles).
     double folded_busy_seconds_ = 0;
     std::uint64_t folded_block_ops_ = 0;
     std::uint64_t folded_max_in_flight_ = 0;

@@ -29,16 +29,17 @@ struct IoStats {
     std::uint64_t io_timeouts = 0;         ///< reads abandoned past their deadline
                                            ///  (served via parity instead; DESIGN.md §13)
 
-    // --- async engine wall-clock metrics (DESIGN.md §9) ---
-    // Observability for the request/completion engine. These measure the
-    // real machine (seconds, queue depths), never model costs; a purely
-    // synchronous run leaves them zero. io_steps() is charged identically
-    // with and without the engine — the wall-clock-vs-model-cost
+    // --- engine wall-clock metrics (DESIGN.md §9) ---
+    // Observability for the request/completion engine's worker threads.
+    // These measure the real machine (seconds, queue depths), never model
+    // costs; an inline engine (workers off) executes on the submitting
+    // thread, never waits, and leaves all four at zero. io_steps() is
+    // charged identically in both modes — the wall-clock-vs-model-cost
     // separation.
     double engine_busy_seconds = 0;   ///< summed per-disk worker execution time
-    double engine_stall_seconds = 0;  ///< submitter time blocked awaiting completions
-    std::uint64_t async_block_ops = 0;///< block transfers routed through the engine
-    std::uint64_t max_in_flight = 0;  ///< peak engine requests in flight (high-water)
+    double engine_stall_seconds = 0;  ///< submitter time blocked awaiting worker completions
+    std::uint64_t async_block_ops = 0;///< block transfers executed by the workers
+    std::uint64_t max_in_flight = 0;  ///< peak worker requests in flight (high-water)
     std::uint64_t prefetch_block_ops = 0; ///< block ops issued ahead of consumption
                                           ///  (prefetch_read; model charge lands later)
 

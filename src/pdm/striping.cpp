@@ -35,11 +35,14 @@ void RunWriter::flush_full_blocks(bool final_flush) {
         buffer_.resize(round_up(buffer_.size(), b)); // zero-pad the tail block
     }
     // Write in stripes of up to D blocks; keep a partial stripe buffered
-    // unless finishing (a stripe = one parallel I/O step).
-    while (buffer_.size() >= static_cast<std::size_t>(b) &&
-           (final_flush || buffer_.size() >= static_cast<std::size_t>(b) * d)) {
-        const std::size_t stripe_blocks =
-            std::min<std::size_t>(buffer_.size() / b, d);
+    // unless finishing (a stripe = one parallel I/O step). The stripes are
+    // written from an advancing offset and the written prefix is erased
+    // once, so flushing costs linear time in the buffered records.
+    std::size_t off = 0;
+    for (;;) {
+        const std::size_t left = buffer_.size() - off;
+        if (left < b || (!final_flush && left < static_cast<std::size_t>(b) * d)) break;
+        const std::size_t stripe_blocks = std::min<std::size_t>(left / b, d);
         std::vector<BlockOp> ops;
         ops.reserve(stripe_blocks);
         // §6 synchronized mode: the stripe shares one fresh index across
@@ -56,10 +59,11 @@ void RunWriter::flush_full_blocks(bool final_flush) {
             next_disk_ = (next_disk_ + 1) % d;
             ops.push_back(BlockOp{disk, synchronized_ ? synced_index : disks_.allocate(disk)});
         }
-        disks_.write_step(ops, std::span<const Record>(buffer_.data(), stripe_blocks * b));
+        disks_.write_step(ops, std::span<const Record>(buffer_.data() + off, stripe_blocks * b));
         run_.blocks.insert(run_.blocks.end(), ops.begin(), ops.end());
-        buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(stripe_blocks * b));
+        off += stripe_blocks * b;
     }
+    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(off));
 }
 
 BlockRun RunWriter::finish() {

@@ -80,10 +80,10 @@ private:
 /// Streaming reader over a BlockRun; fetches blocks with maximal
 /// parallelism (read_batch), hands back records in run order.
 ///
-/// With the array's async engine enabled, the reader double-buffers: while
+/// With the array's worker engine enabled, the reader double-buffers: while
 /// the caller consumes one fetch, the next fetch-sized range of the run is
 /// already in flight (DESIGN.md §9). Model costs are charged at consumption
-/// time over exactly the ranges the synchronous path would read, so
+/// time over exactly the ranges a plain read_batch would read, so
 /// io_steps() is identical either way.
 class RunReader {
 public:

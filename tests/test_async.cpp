@@ -1,10 +1,11 @@
-// Tests for the asynchronous request/completion engine (DESIGN.md §9):
-// AsyncEngine semantics (per-disk FIFO, deferred failures, retry counting),
-// DiskArray's async entry points (charge-at-submit accounting, prefetch +
-// charge-at-consume, write-behind), and the end-to-end guarantee that a
-// sort run through the engine is bit-identical to the synchronous path in
-// everything the model measures — io_steps, structure counters, output —
-// while actually routing its blocks through the worker threads.
+// Tests for the request/completion engine (DESIGN.md §9): AsyncEngine
+// semantics (per-disk FIFO, deferred failures, retry counting, inline
+// mode), DiskArray's engine entry points (charge-at-submit accounting,
+// prefetch + charge-at-consume, write-behind), and the end-to-end guarantee
+// that a sort run through the worker threads is bit-identical to the
+// inline engine in everything the model measures — io_steps, structure
+// counters, output — while actually routing its blocks through the
+// workers.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -129,7 +130,101 @@ TEST(AsyncEngine, TransientRetriesAreCountedAndDeterministic) {
     EXPECT_EQ(a, b);  // per-disk FIFO + seeded stream => same fault sequence
 }
 
+TEST(AsyncEngine, InlineModeCompletesEachBatchInsideSubmit) {
+    constexpr std::size_t kB = 4;
+    std::vector<std::unique_ptr<MemDisk>> disks;
+    std::vector<Disk*> tops;
+    for (int i = 0; i < 2; ++i) {
+        disks.push_back(std::make_unique<MemDisk>(kB));
+        tops.push_back(disks.back().get());
+    }
+    AsyncEngine engine(tops, /*max_retries=*/0, /*backoff_base_us=*/0, /*deadline_us=*/0,
+                       /*backoff_jitter=*/false, EngineMode::kInline);
+    EXPECT_EQ(engine.mode(), EngineMode::kInline);
+    // Instruments installed after construction are picked up at submit.
+    MetricsRegistry reg;
+    MetricsInstallGuard mg(&reg);
+
+    const auto img = make_block(kB, 9);
+    std::vector<Record> back(kB);
+    std::vector<IoRequest> requests(2);
+    requests[0].kind = IoRequest::Kind::kWrite;
+    requests[0].disk = 1;
+    requests[0].block = 3;
+    requests[0].write_data = img.data();
+    requests[1].kind = IoRequest::Kind::kRead;
+    requests[1].disk = 1;
+    requests[1].block = 3;
+    requests[1].read_buf = back.data();
+    AsyncBatch batch = engine.submit(std::move(requests));
+    EXPECT_TRUE(engine.done(batch)); // complete on return, nothing queued
+    for (const auto& c : engine.wait(batch)) EXPECT_TRUE(c.ok);
+    EXPECT_EQ(back, img);
+    EXPECT_EQ(engine.per_disk_in_flight(), (std::vector<std::uint32_t>{0, 0}));
+#ifndef BALSORT_NO_OBS // metrics() is constexpr null when compiled out
+    EXPECT_EQ(reg.histogram("disk1.write_latency_us").count(), 1u);
+    EXPECT_EQ(reg.histogram("disk1.read_latency_us").count(), 1u);
+#endif
+    // No workers ran, so the worker metrics stay zero.
+    const AsyncEngineMetrics m = engine.metrics();
+    EXPECT_EQ(m.block_ops, 0u);
+    EXPECT_EQ(m.max_in_flight, 0u);
+    EXPECT_EQ(m.busy_seconds, 0.0);
+}
+
+TEST(AsyncEngine, InlineAndThreadedRetryTheSameFaultSequence) {
+    // Both modes run one retry loop, so a seeded fault stream costs the
+    // same retries whichever thread executes it.
+    auto retries = [](EngineMode mode) {
+        FaultSpec spec;
+        spec.seed = 404;
+        spec.read_transient_rate = 0.3;
+        auto base = std::make_unique<MemDisk>(4);
+        const auto blk = make_block(4, 1);
+        for (std::uint64_t i = 0; i < 64; ++i) base->write_block(i, blk);
+        FaultInjectingDisk faulty(std::move(base), spec, 0);
+        AsyncEngine engine({&faulty}, /*max_retries=*/16, 0, 0, false, mode);
+        std::vector<Record> buf(64 * 4);
+        std::vector<IoRequest> reqs(64);
+        for (std::uint64_t i = 0; i < 64; ++i) {
+            reqs[i].kind = IoRequest::Kind::kRead;
+            reqs[i].disk = 0;
+            reqs[i].block = i;
+            reqs[i].read_buf = buf.data() + i * 4;
+        }
+        AsyncBatch batch = engine.submit(std::move(reqs));
+        std::uint64_t total = 0;
+        for (const auto& c : engine.wait(batch)) {
+            EXPECT_TRUE(c.ok);
+            total += c.transient_retries;
+        }
+        return total;
+    };
+    const std::uint64_t inline_retries = retries(EngineMode::kInline);
+    EXPECT_GT(inline_retries, 0u);
+    EXPECT_EQ(inline_retries, retries(EngineMode::kThreaded));
+}
+
 // ------------------------------------------------- DiskArray async routing
+
+TEST(DiskArrayAsync, EngineOffArrayRunsInlineAndShowsNoWorkers) {
+    DiskArray arr(2, 4);
+    EXPECT_FALSE(arr.async_enabled());
+    auto recs = generate(Workload::kUniform, 64, 3);
+    BlockRun run = write_striped(arr, recs);
+    // A prefetch on the inline engine is already complete when it returns.
+    std::vector<Record> buf(run.blocks.size() * 4);
+    DiskArray::ReadTicket t = arr.prefetch_read(run.blocks, buf);
+    EXPECT_TRUE(arr.async_in_flight().empty());
+    arr.complete_read(t);
+    for (std::uint64_t i = 0; i < recs.size(); ++i) EXPECT_EQ(buf[i], recs[i]);
+    EXPECT_EQ(read_run(arr, run), recs);
+    const IoStats s = arr.stats();
+    EXPECT_EQ(s.async_block_ops, 0u);
+    EXPECT_EQ(s.max_in_flight, 0u);
+    EXPECT_EQ(s.engine_busy_seconds, 0.0);
+    EXPECT_EQ(s.engine_stall_seconds, 0.0);
+}
 
 TEST(DiskArrayAsync, StepAccountingAndDataBitIdenticalToSync) {
     auto recs = generate(Workload::kUniform, 3000, 21);

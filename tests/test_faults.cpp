@@ -259,11 +259,15 @@ TEST(DiskArrayFaults, ParityReconstructsManuallyCorruptedBlock) {
     }
 }
 
-TEST(DiskArrayFaults, SilentBitRotIsDetectedReconstructedAndScrubbed) {
+// The two scenarios below run once per engine mode: inline, and per-disk
+// worker threads (where parity-mode writes reach the engine's
+// degrade-into-parity branch of the write ladder).
+void silent_bit_rot_scenario(bool threaded) {
     FaultTolerance ft;
     ft.checksums = true;
     ft.parity = true;
     DiskArray arr(4, 8, DiskBackend::kMemory, ".", Constraint::kIndependentDisks, ft);
+    arr.set_async(threaded);
     auto recs = generate(Workload::kUniform, 512, 8);
     BlockRun run = write_striped(arr, recs);
     // Flip one bit *underneath* the checksum layer on disk 1, block 2 —
@@ -285,7 +289,7 @@ TEST(DiskArrayFaults, SilentBitRotIsDetectedReconstructedAndScrubbed) {
     EXPECT_EQ(arr.stats().reconstructions, 1u);
 }
 
-TEST(DiskArrayFaults, SingleDiskDeathServedInDegradedMode) {
+void single_disk_death_scenario(bool threaded) {
     FaultTolerance ft;
     ft.inject.seed = 31;
     ft.inject.die_after_ops = 12;
@@ -293,6 +297,7 @@ TEST(DiskArrayFaults, SingleDiskDeathServedInDegradedMode) {
     ft.checksums = true;
     ft.parity = true;
     DiskArray arr(4, 4, DiskBackend::kMemory, ".", Constraint::kIndependentDisks, ft);
+    arr.set_async(threaded);
     auto recs = generate(Workload::kUniform, 400, 9);
     BlockRun run = write_striped(arr, recs); // disk 2 dies part-way through
     EXPECT_EQ(read_run(arr, run), recs);     // every lost block reconstructed
@@ -301,6 +306,22 @@ TEST(DiskArrayFaults, SingleDiskDeathServedInDegradedMode) {
     EXPECT_GT(arr.stats().degraded_writes, 0u);
     EXPECT_GT(arr.stats().reconstructions, 0u);
     EXPECT_GT(arr.health(2).reconstructions, 0u);
+}
+
+TEST(DiskArrayFaults, SilentBitRotIsDetectedReconstructedAndScrubbed) {
+    silent_bit_rot_scenario(/*threaded=*/false);
+}
+
+TEST(DiskArrayFaults, SilentBitRotIsDetectedReconstructedAndScrubbedThreaded) {
+    silent_bit_rot_scenario(/*threaded=*/true);
+}
+
+TEST(DiskArrayFaults, SingleDiskDeathServedInDegradedMode) {
+    single_disk_death_scenario(/*threaded=*/false);
+}
+
+TEST(DiskArrayFaults, SingleDiskDeathServedInDegradedModeThreaded) {
+    single_disk_death_scenario(/*threaded=*/true);
 }
 
 TEST(DiskArrayFaults, ParityCarriedBlockOfDeadDiskIsADoubleFailureForPeers) {

@@ -623,8 +623,9 @@ TEST(ObservabilityAcceptance, FileBackedSortEmitsSpansPairsAndHistograms) {
     std::filesystem::remove(tmp);
 }
 
-// The sync (engine-off) path still records per-op latency histograms via
-// DiskArray::bind_obs, and fault recovery emits instant events.
+// The engine-off (inline) path still records per-op latency histograms —
+// the inline engine resolves the registry installed after the array was
+// built — and fault recovery emits instant events.
 TEST(ObservabilityAcceptance, SyncPathHistogramsAndFaultInstants) {
     PdmConfig cfg{.n = 1 << 12, .m = 1 << 9, .d = 4, .b = 8, .p = 2};
     FaultTolerance ft;

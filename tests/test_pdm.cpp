@@ -194,6 +194,25 @@ TEST(RunWriter, StripesAcrossDisksInOrder) {
     }
     // 3 full stripes -> 3 write steps.
     EXPECT_EQ(arr.stats().write_steps, 3u);
+
+    // Ragged appends (chunks of 1, 5 and 13 records, cycling) lay out the
+    // same stripes with the same steps as the one-shot write above.
+    DiskArray ragged_arr(4, 2);
+    RunWriter w(ragged_arr);
+    const std::size_t chunks[] = {1, 5, 13};
+    for (std::size_t pos = 0, k = 0; pos < recs.size(); ++k) {
+        const std::size_t n = std::min(chunks[k % 3], recs.size() - pos);
+        w.append(std::span<const Record>(recs).subspan(pos, n));
+        pos += n;
+    }
+    BlockRun ragged = w.finish();
+    ASSERT_EQ(ragged.blocks.size(), run.blocks.size());
+    for (std::size_t i = 0; i < run.blocks.size(); ++i) {
+        EXPECT_EQ(ragged.blocks[i].disk, run.blocks[i].disk) << "block " << i;
+        EXPECT_EQ(ragged.blocks[i].block, run.blocks[i].block) << "block " << i;
+    }
+    EXPECT_EQ(ragged_arr.stats().write_steps, 3u);
+    EXPECT_EQ(read_run(ragged_arr, ragged), recs);
 }
 
 TEST(RunWriter, AppendAfterFinishThrows) {
