@@ -26,8 +26,11 @@ RunResult run_one(const PdmConfig& cfg, const std::vector<Record>& input, AsyncI
                   DeviceModel dev) {
     DiskArray disks(cfg.d, cfg.b, DiskBackend::kFile, "/tmp", Constraint::kIndependentDisks, {},
                     dev);
-    SortOptions opt;
-    opt.async_io = mode;
+    SortJobConfig opt;
+    opt.io_policy.async_io = mode;
+    // Two compute lanes on every host: the charged pram_time depends on the
+    // resolved lane count, and the committed baseline was taken at 2.
+    opt.compute_policy.threads = 2;
     RunResult r;
     Timer timer;
     r.sorted = balance_sort_records(disks, input, cfg, opt, &r.rep);

@@ -69,32 +69,25 @@ std::vector<Record> hier_sort(std::vector<Record> records, const HierSortConfig&
     pdm.b = 1;
     pdm.p = cfg.h;
 
-    SortOptions opt;
-    opt.d_virtual = hv;
-    if (cfg.s_target != 0) {
-        opt.s_target = cfg.s_target;
-        opt.bucket_policy = BucketPolicy::kFixed;
-    } else {
-        opt.bucket_policy = BucketPolicy::kSqrtLevel; // §4.3, per level
-    }
-    opt.balance = cfg.balance;
-    opt.trace = cfg.trace;
-    opt.metrics = cfg.metrics;
-    opt.checkpoint_path = cfg.checkpoint_path;
-    opt.resume_from = cfg.resume_from;
-    opt.on_checkpoint = cfg.on_checkpoint;
-    opt.validate(cfg.h); // reject incoherent hierarchy configs up front
+    // §4.3: S re-chosen per level (kSqrtLevel) unless a fixed S is given.
+    SortJobConfig job;
+    job.virtual_disks(hv)
+        .buckets(cfg.s_target,
+                 cfg.s_target != 0 ? BucketPolicy::kFixed : BucketPolicy::kSqrtLevel)
+        .balance(cfg.balance)
+        .observability(ObsPolicy{}.tracer(cfg.trace).registry(cfg.metrics))
+        .durability(cfg.durability);
     // NOTE on §4.4: the paper repositions buckets on BT hierarchies via
     // the [ACSa] generalized matrix transposition, whose O((N/H)
     // (loglog)^4) cost relies on sub-block piecewise moves — below this
     // simulator's block granularity. A block-granular reposition
-    // (SortOptions::reposition_buckets) re-sweeps the level region per
+    // (SortJobConfig::reposition_buckets) re-sweeps the level region per
     // bucket and measures slightly worse, so it stays opt-in; the
     // resulting measured/formula drift for BT with alpha >= 1 is
     // quantified in EXPERIMENTS.md.
 
     SortReport mech;
-    BlockRun output = balance_sort(lanes, input, pdm, opt, &mech);
+    BlockRun output = balance_sort(lanes, input, pdm, job, &mech);
     lanes.set_step_observer(nullptr);
 
     // Base-case internal sorts: each track of H records sorted on the

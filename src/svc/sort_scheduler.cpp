@@ -115,6 +115,9 @@ AdmissionResult SortScheduler::submit(JobSpec spec) {
                        spec.config.obs_policy.metrics == nullptr,
                    "JobSpec: per-job observability sinks would fight over the process-wide "
                    "installation; use SchedulerConfig::trace/metrics");
+        BS_REQUIRE(spec.config.obs_policy.progress == nullptr,
+                   "JobSpec: the scheduler wires each job's progress sink; leave "
+                   "ObsPolicy::progress null and read SortScheduler::status()");
         PdmConfig pdm;
         pdm.n = n;
         pdm.m = spec.m;
@@ -243,14 +246,9 @@ void SortScheduler::execute(Job& job) {
 
     SortJobConfig cfg = spec.config;
     cfg.cancel(&job.cancel);
-    if (cfg_.share_buffer_pool && cfg.io_policy.pool_buffers) {
-        cfg.io_policy.shared_pool = &shared_pool_;
-    }
-    if (executor_ != nullptr) {
-        cfg.compute_policy.shared_executor = executor_.get();
-    }
-    SortOptions opt = cfg.options();
-    opt.progress = &job.progress;
+    if (cfg_.share_buffer_pool) cfg.io_policy.shared_pool = &shared_pool_;
+    if (executor_ != nullptr) cfg.compute_policy.shared_executor = executor_.get();
+    cfg.obs_policy.progress = &job.progress;
 
     // Fairness: every charged step passes the arbiter before the array's
     // internal lock (the gate contract). The wrapper times the charge —
@@ -297,7 +295,7 @@ void SortScheduler::execute(Job& job) {
             std::lock_guard<std::mutex> lock(mu_);
             job.other_seconds += seg;
         }
-        BlockRun out = balance_sort(disks_, in_run, pdm, opt, &job.report);
+        BlockRun out = balance_sort(disks_, in_run, pdm, cfg, &job.report);
         t_post = std::chrono::steady_clock::now();
         waited_at_post = waited();
         sorted = read_run(disks_, out);

@@ -168,7 +168,7 @@ private:
         double elapsed_seconds = 0;
         IoStats final_io; ///< channel accounting frozen at termination
         /// Live pipeline progress, written by the sort's driver via
-        /// SortOptions::progress (DESIGN.md §16).
+        /// ObsPolicy::progress (DESIGN.md §16).
         ProgressSink progress;
         /// Worker start time (kRunning: the live-elapsed origin).
         std::chrono::steady_clock::time_point started_at{};

@@ -16,8 +16,9 @@
 ///    in DriverState; leases are stage-local).
 ///  * A Lease is move-only; moving transfers the return obligation.
 ///  * `BufferPool::acquire_from(nullptr, n)` yields an *unpooled* lease —
-///    a plain vector freed on destruction — so call sites stay uniform when
-///    pooling is disabled (SortOptions::pool_buffers == false).
+///    a plain vector freed on destruction — so layers that also run without
+///    a sort around them (Balance passes, VRun sources in unit and layer
+///    benches) keep one call shape.
 ///
 /// Thread safety: acquire/return are mutex-guarded (cheap, uncontended —
 /// the driver stages on one thread; engine workers only fill buffer memory

@@ -323,14 +323,14 @@ TEST(BalanceSortAsync, ReportBitIdenticalToSyncOnMemoryBackend) {
     std::vector<Record> sync_sorted, async_sorted;
     {
         DiskArray disks(cfg.d, cfg.b);
-        SortOptions opt;
-        opt.async_io = AsyncIo::kOff;
+        SortJobConfig opt;
+        opt.io_policy.async_io = AsyncIo::kOff;
         sync_sorted = balance_sort_records(disks, input, cfg, opt, &sync_rep);
     }
     {
         DiskArray disks(cfg.d, cfg.b);
-        SortOptions opt;
-        opt.async_io = AsyncIo::kOn;
+        SortJobConfig opt;
+        opt.io_policy.async_io = AsyncIo::kOn;
         async_sorted = balance_sort_records(disks, input, cfg, opt, &async_rep);
         // The guard restored the array to its pre-sort (sync) state.
         EXPECT_FALSE(disks.async_enabled());
@@ -360,13 +360,13 @@ TEST(BalanceSortAsync, FileBackendAutoEnablesTheEngine) {
     std::vector<Record> auto_sorted, off_sorted;
     {
         DiskArray disks(cfg.d, cfg.b, DiskBackend::kFile, dir);
-        SortOptions opt; // async_io = kAuto
+        SortJobConfig opt; // async_io = kAuto
         auto_sorted = balance_sort_records(disks, input, cfg, opt, &auto_rep);
     }
     {
         DiskArray disks(cfg.d, cfg.b, DiskBackend::kFile, dir);
-        SortOptions opt;
-        opt.async_io = AsyncIo::kOff;
+        SortJobConfig opt;
+        opt.io_policy.async_io = AsyncIo::kOff;
         off_sorted = balance_sort_records(disks, input, cfg, opt, &off_rep);
     }
     EXPECT_GT(auto_rep.io.async_block_ops, 0u); // kAuto == on for kFile
@@ -375,17 +375,19 @@ TEST(BalanceSortAsync, FileBackendAutoEnablesTheEngine) {
     EXPECT_EQ(auto_rep.io.io_steps(), off_rep.io.io_steps());
 }
 
-// ------------------------------------------------- SortOptions::validate()
+// ------------------------------------------------- SortJobConfig::validate()
+// The suite keeps the name of the retired flat options type so its test IDs
+// stay stable; every case exercises SortJobConfig::validate.
 
 TEST(SortOptionsValidate, RejectsSketchWithSqrtLevelPolicy) {
-    SortOptions opt;
+    SortJobConfig opt;
     opt.pivot_method = PivotMethod::kStreamingSketch;
     opt.bucket_policy = BucketPolicy::kSqrtLevel;
     EXPECT_THROW(opt.validate(8), std::invalid_argument);
 }
 
 TEST(SortOptionsValidate, RejectsSTargetWithoutFixedPolicy) {
-    SortOptions opt;
+    SortJobConfig opt;
     opt.s_target = 4; // policy left at kPaperPdm
     EXPECT_THROW(opt.validate(8), std::invalid_argument);
     opt.bucket_policy = BucketPolicy::kFixed;
@@ -393,7 +395,7 @@ TEST(SortOptionsValidate, RejectsSTargetWithoutFixedPolicy) {
 }
 
 TEST(SortOptionsValidate, RejectsDVirtualNotDividingD) {
-    SortOptions opt;
+    SortJobConfig opt;
     opt.d_virtual = 3;
     EXPECT_THROW(opt.validate(8), std::invalid_argument);
     opt.d_virtual = 4;
@@ -406,7 +408,7 @@ TEST(SortOptionsValidate, BalanceSortRejectsIncoherentOptionsUpFront) {
     PdmConfig cfg{.n = 1000, .m = 256, .d = 4, .b = 4, .p = 1};
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(Workload::kUniform, cfg.n, 1);
-    SortOptions opt;
+    SortJobConfig opt;
     opt.s_target = 4; // without kFixed: previously silently implied
     EXPECT_THROW((void)balance_sort_records(disks, input, cfg, opt, nullptr),
                  std::invalid_argument);

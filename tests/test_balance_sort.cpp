@@ -24,8 +24,8 @@ TEST_P(SortGridTest, SortsCorrectlyWithInvariants) {
     PdmConfig cfg{.n = g.n, .m = g.m, .d = g.d, .b = g.b, .p = g.p};
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(w, cfg.n, 1234 + g.n);
-    SortOptions opt;
-    opt.balance.check_invariants = true;
+    SortJobConfig opt;
+    opt.balance_opts.check_invariants = true;
     SortReport rep;
     auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
     EXPECT_TRUE(is_sorted_permutation_of(input, sorted))
@@ -62,8 +62,8 @@ TEST_P(SortShapeTest, UniformAcrossMachineShapes) {
     PdmConfig cfg{.n = g.n, .m = g.m, .d = g.d, .b = g.b, .p = g.p};
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(Workload::kUniform, cfg.n, 777);
-    SortOptions opt;
-    opt.balance.check_invariants = true;
+    SortJobConfig opt;
+    opt.balance_opts.check_invariants = true;
     SortReport rep;
     auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
     EXPECT_TRUE(is_sorted_permutation_of(input, sorted))
@@ -88,7 +88,7 @@ TEST(BalanceSort, IoWithinConstantFactorOfTheorem1) {
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(Workload::kUniform, cfg.n, 42);
     SortReport rep;
-    auto sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &rep);
+    auto sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, &rep);
     ASSERT_TRUE(is_sorted_by_key(sorted));
     EXPECT_GT(rep.io_ratio, 1.0);   // cannot beat the lower bound
     EXPECT_LT(rep.io_ratio, 25.0);  // and stays a small constant above it
@@ -105,7 +105,7 @@ TEST(BalanceSort, IoRatioFlatInN) {
         DiskArray disks(cfg.d, cfg.b);
         auto input = generate(Workload::kUniform, n, n);
         SortReport rep;
-        auto sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &rep);
+        auto sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, &rep);
         ASSERT_TRUE(is_sorted_by_key(sorted));
         lo = std::min(lo, rep.io_ratio);
         hi = std::max(hi, rep.io_ratio);
@@ -119,7 +119,7 @@ TEST(BalanceSort, Theorem4WorstBucketRatio) {
         DiskArray disks(cfg.d, cfg.b);
         auto input = generate(w, cfg.n, 5);
         SortReport rep;
-        (void)balance_sort_records(disks, input, cfg, SortOptions{}, &rep);
+        (void)balance_sort_records(disks, input, cfg, SortJobConfig{}, &rep);
         EXPECT_LE(rep.worst_bucket_read_ratio, 2.25) << to_string(w);
     }
 }
@@ -129,8 +129,8 @@ TEST(BalanceSort, DeterministicAcrossRuns) {
     auto input = generate(Workload::kGaussian, cfg.n, 99);
     SortReport r1, r2;
     DiskArray d1(cfg.d, cfg.b), d2(cfg.d, cfg.b);
-    auto s1 = balance_sort_records(d1, input, cfg, SortOptions{}, &r1);
-    auto s2 = balance_sort_records(d2, input, cfg, SortOptions{}, &r2);
+    auto s1 = balance_sort_records(d1, input, cfg, SortJobConfig{}, &r1);
+    auto s2 = balance_sort_records(d2, input, cfg, SortJobConfig{}, &r2);
     EXPECT_EQ(s1, s2);
     EXPECT_EQ(r1.io.io_steps(), r2.io.io_steps());
     EXPECT_EQ(r1.balance.tracks, r2.balance.tracks);
@@ -145,11 +145,11 @@ TEST(BalanceSort, AllOptionCombinationsSort) {
         for (auto aux : {AuxRule::kPaperMedian, AuxRule::kArgTwiceAvg}) {
             for (auto defer : {DeferPolicy::kPaperDefer, DeferPolicy::kRebalanceAll}) {
                 DiskArray disks(cfg.d, cfg.b);
-                SortOptions opt;
-                opt.balance.matching = strat;
-                opt.balance.aux = aux;
-                opt.balance.defer = defer;
-                opt.balance.check_invariants = (aux == AuxRule::kPaperMedian);
+                SortJobConfig opt;
+                opt.balance_opts.matching = strat;
+                opt.balance_opts.aux = aux;
+                opt.balance_opts.defer = defer;
+                opt.balance_opts.check_invariants = (aux == AuxRule::kPaperMedian);
                 SortReport rep;
                 auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
                 EXPECT_TRUE(is_sorted_permutation_of(input, sorted))
@@ -166,7 +166,7 @@ TEST(BalanceSort, ExplicitSAndDVirtualOverrides) {
     for (std::uint32_t dv : {1u, 2u, 4u, 8u}) {
         for (std::uint32_t s : {2u, 3u, 8u}) {
             DiskArray disks(cfg.d, cfg.b);
-            SortOptions opt;
+            SortJobConfig opt;
             opt.d_virtual = dv;
             opt.s_target = s;
             opt.bucket_policy = BucketPolicy::kFixed;
@@ -183,7 +183,7 @@ TEST(BalanceSort, EqualClassFastPathEngages) {
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(Workload::kDuplicateHeavy, cfg.n, 11); // 16 keys
     SortReport rep;
-    auto sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &rep);
+    auto sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, &rep);
     EXPECT_TRUE(is_sorted_permutation_of(input, sorted));
     // Nearly all mass should flow through equal-class streaming, keeping
     // the recursion shallow despite N/M = 48 and massive duplication.
@@ -196,7 +196,7 @@ TEST(BalanceSort, AllEqualInput) {
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(Workload::kAllEqual, cfg.n, 1);
     SortReport rep;
-    auto sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &rep);
+    auto sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, &rep);
     EXPECT_TRUE(is_sorted_permutation_of(input, sorted));
     EXPECT_LE(rep.levels, 2u);
 }
@@ -215,7 +215,7 @@ TEST(BalanceSort, ConfigValidationErrors) {
     wrong_n.n = 99;
     EXPECT_THROW(balance_sort(disks, run, wrong_n, {}, nullptr), std::invalid_argument);
     // d_virtual that does not divide D.
-    SortOptions opt;
+    SortJobConfig opt;
     opt.d_virtual = 3;
     EXPECT_THROW(balance_sort(disks, run, ok, opt, nullptr), std::invalid_argument);
 }
@@ -223,13 +223,13 @@ TEST(BalanceSort, ConfigValidationErrors) {
 TEST(BalanceSort, ValidateRejectsIncoherentOptions) {
     // Streaming sketch + per-level sqrt policy: the child S is unknown
     // while the parent runs, so no sketch can be sized for it.
-    SortOptions sketch_sqrt;
+    SortJobConfig sketch_sqrt;
     sketch_sqrt.pivot_method = PivotMethod::kStreamingSketch;
     sketch_sqrt.bucket_policy = BucketPolicy::kSqrtLevel;
     EXPECT_THROW(sketch_sqrt.validate(4), std::invalid_argument);
 
     // s_target with a non-fixed policy (previously silently implied kFixed).
-    SortOptions s_no_fixed;
+    SortJobConfig s_no_fixed;
     s_no_fixed.s_target = 8;
     s_no_fixed.bucket_policy = BucketPolicy::kPaperPdm;
     EXPECT_THROW(s_no_fixed.validate(4), std::invalid_argument);
@@ -239,7 +239,7 @@ TEST(BalanceSort, ValidateRejectsIncoherentOptions) {
     EXPECT_NO_THROW(s_no_fixed.validate(4));
 
     // d_virtual must divide D (and not exceed it).
-    SortOptions dv;
+    SortJobConfig dv;
     dv.d_virtual = 3;
     EXPECT_THROW(dv.validate(4), std::invalid_argument);
     dv.d_virtual = 8;
@@ -247,9 +247,18 @@ TEST(BalanceSort, ValidateRejectsIncoherentOptions) {
     dv.d_virtual = 2;
     EXPECT_NO_THROW(dv.validate(4));
 
+    // A lane cap above what a shared executor can honor: its workers()
+    // plus the submitting thread.
+    Executor exec(2);
+    SortJobConfig lanes;
+    lanes.compute(ComputePolicy{}.executor(&exec).lanes(4));
+    EXPECT_THROW(lanes.validate(4), std::invalid_argument);
+    lanes.compute_policy.threads = 3;
+    EXPECT_NO_THROW(lanes.validate(4));
+
     // The defaults are coherent for any D.
-    EXPECT_NO_THROW(SortOptions{}.validate(1));
-    EXPECT_NO_THROW(SortOptions{}.validate(16));
+    EXPECT_NO_THROW(SortJobConfig{}.validate(1));
+    EXPECT_NO_THROW(SortJobConfig{}.validate(16));
 }
 
 TEST(BalanceSort, EqualClassStreamCopyResolvesAllEqualWithoutRecursion) {
@@ -257,18 +266,14 @@ TEST(BalanceSort, EqualClassStreamCopyResolvesAllEqualWithoutRecursion) {
     // single pivot's equal class, which EmitPhase stream-copies to the
     // output — no base case ever runs below the top level.
     PdmConfig cfg{.n = 20000, .m = 512, .d = 4, .b = 8, .p = 2};
-    for (bool pool : {true, false}) {
-        DiskArray disks(cfg.d, cfg.b);
-        auto input = generate(Workload::kAllEqual, cfg.n, 3);
-        SortOptions opt;
-        opt.pool_buffers = pool;
-        SortReport rep;
-        auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
-        EXPECT_TRUE(is_sorted_permutation_of(input, sorted)) << "pool=" << pool;
-        EXPECT_EQ(rep.equal_class_records, cfg.n);
-        EXPECT_EQ(rep.base_cases, 0u);
-        EXPECT_EQ(rep.levels, 1u);
-    }
+    DiskArray disks(cfg.d, cfg.b);
+    auto input = generate(Workload::kAllEqual, cfg.n, 3);
+    SortReport rep;
+    auto sorted = balance_sort_records(disks, input, cfg, {}, &rep);
+    EXPECT_TRUE(is_sorted_permutation_of(input, sorted));
+    EXPECT_EQ(rep.equal_class_records, cfg.n);
+    EXPECT_EQ(rep.base_cases, 0u);
+    EXPECT_EQ(rep.levels, 1u);
 }
 
 TEST(BalanceSort, WorkMetricsPopulated) {
@@ -276,7 +281,7 @@ TEST(BalanceSort, WorkMetricsPopulated) {
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(Workload::kUniform, cfg.n, 17);
     SortReport rep;
-    (void)balance_sort_records(disks, input, cfg, SortOptions{}, &rep);
+    (void)balance_sort_records(disks, input, cfg, SortJobConfig{}, &rep);
     EXPECT_GT(rep.comparisons, cfg.n); // at least one comparison per record
     EXPECT_GT(rep.pram_time, 0.0);
     EXPECT_GT(rep.optimal_work, 0.0);

@@ -487,9 +487,9 @@ TEST(BalanceTimelineTest, RecordsEveryTrackOnFileBackedSort) {
 
     MetricsRegistry metrics_reg;
     BalanceTimeline timeline;
-    SortOptions opt;
-    opt.balance.timeline = &timeline;
-    opt.balance.check_invariants = true;
+    SortJobConfig opt;
+    opt.balance_opts.timeline = &timeline;
+    opt.balance_opts.check_invariants = true;
     SortReport rep;
     {
         MetricsInstallGuard mg(&metrics_reg);
@@ -559,10 +559,10 @@ TEST(ObservabilityAcceptance, FileBackedSortEmitsSpansPairsAndHistograms) {
 
     Tracer tracer;
     MetricsRegistry metrics_reg;
-    SortOptions opt;
-    opt.async_io = AsyncIo::kOn;
-    opt.trace = &tracer;
-    opt.metrics = &metrics_reg;
+    SortJobConfig opt;
+    opt.io_policy.async_io = AsyncIo::kOn;
+    opt.obs_policy.trace = &tracer;
+    opt.obs_policy.metrics = &metrics_reg;
     SortReport rep;
     auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
     ASSERT_TRUE(is_sorted_permutation_of(input, sorted));
@@ -640,8 +640,8 @@ TEST(ObservabilityAcceptance, SyncPathHistogramsAndFaultInstants) {
         TracerInstallGuard tg(&tracer);
         MetricsInstallGuard mg(&metrics_reg);
         auto input = generate(Workload::kUniform, cfg.n, 5);
-        SortOptions opt;
-        opt.async_io = AsyncIo::kOff;
+        SortJobConfig opt;
+        opt.io_policy.async_io = AsyncIo::kOff;
         auto sorted = balance_sort_records(disks, input, cfg, opt, nullptr);
         ASSERT_TRUE(is_sorted_permutation_of(input, sorted));
     }
@@ -758,7 +758,9 @@ TEST(ProfilerTest, LiveSamplingCapturesRealStacks) {
     // time, so this cannot hang on an idle machine — only on a stopped
     // clock). Cap the spin to keep a worst-case bound.
     volatile std::uint64_t sink = 0;
-    for (std::uint64_t i = 0; i < 2'000'000'000ull && p.sample_count() < 5; ++i) sink += i;
+    for (std::uint64_t i = 0; i < 2'000'000'000ull && p.sample_count() < 5; ++i) {
+        sink = sink + i; // not `+=`: compound assignment to a volatile is deprecated in C++20
+    }
     p.stop();
     EXPECT_GE(p.sample_count(), 5u);
     const std::string folded = p.folded_string();

@@ -47,7 +47,7 @@ struct SortTrace {
 
 /// Run one sort while hashing the full parallel-step sequence the array
 /// observer sees and the sorted output records.
-SortTrace traced_sort(Workload w, const PdmConfig& cfg, const SortOptions& opt,
+SortTrace traced_sort(Workload w, const PdmConfig& cfg, const SortJobConfig& opt,
                       DiskBackend backend) {
     DiskArray disks = backend == DiskBackend::kFile
                           ? DiskArray(cfg.d, cfg.b, DiskBackend::kFile,
@@ -109,7 +109,7 @@ TEST(PipelineGoldens, DefaultOptionsUniform) {
 
 TEST(PipelineGoldens, StreamingSketchZipf) {
     PdmConfig cfg{.n = 20000, .m = 1024, .d = 4, .b = 8, .p = 2};
-    SortOptions opt;
+    SortJobConfig opt;
     opt.pivot_method = PivotMethod::kStreamingSketch;
     const Golden g{3052, 3156, 12142, 9642, 4, 21, 3,
                    2001929164921609248ull, 4489769194646271066ull};
@@ -118,8 +118,8 @@ TEST(PipelineGoldens, StreamingSketchZipf) {
 
 TEST(PipelineGoldens, SynchronizedWritesReverse) {
     PdmConfig cfg{.n = 12000, .m = 512, .d = 8, .b = 8, .p = 2};
-    SortOptions opt;
-    opt.synchronized_writes = true;
+    SortJobConfig opt;
+    opt.io_policy.synchronized_writes = true;
     const Golden g{2139, 1165, 16748, 9208, 6, 32, 2,
                    15301356196869035716ull, 11783058181912304141ull};
     expect_matches(traced_sort(Workload::kReverse, cfg, opt, DiskBackend::kMemory), g);
@@ -149,42 +149,34 @@ TEST(PipelineGoldens, HierSortHmmLog) {
 }
 
 // ---------------------------------------------------------------------------
-// Mode matrix: every combination of backend, engine, pooling, and staging
-// must produce identical model quantities, observer sequences, and output.
+// Mode matrix: every combination of backend and engine must produce
+// identical model quantities, observer sequences, and output. Staging always
+// pools its buffers, and cross-bucket staging engages wherever the engine
+// has workers (the +async runs), so those paths are covered here too.
 // ---------------------------------------------------------------------------
 
 TEST(PipelineModes, AccountingIdenticalAcrossAllModes) {
     PdmConfig cfg{.n = 20000, .m = 1024, .d = 4, .b = 8, .p = 2};
-    SortOptions ref_opt;
-    ref_opt.async_io = AsyncIo::kOff;
-    ref_opt.pool_buffers = false;
-    ref_opt.cross_bucket_prefetch = false;
-    const SortTrace ref = traced_sort(Workload::kUniform, cfg, ref_opt, DiskBackend::kMemory);
+    const SortTrace ref =
+        traced_sort(Workload::kUniform, cfg, SortJobConfig{}.io(IoPolicy{}.async(AsyncIo::kOff)),
+                    DiskBackend::kMemory);
     ASSERT_GT(ref.io.io_steps(), 0u);
 
     for (DiskBackend backend : {DiskBackend::kMemory, DiskBackend::kFile}) {
         for (AsyncIo async : {AsyncIo::kOff, AsyncIo::kOn}) {
-            for (bool pool : {false, true}) {
-                for (bool stage : {false, true}) {
-                    SortOptions opt;
-                    opt.async_io = async;
-                    opt.pool_buffers = pool;
-                    opt.cross_bucket_prefetch = stage;
-                    const SortTrace t = traced_sort(Workload::kUniform, cfg, opt, backend);
-                    SCOPED_TRACE(std::string(backend == DiskBackend::kFile ? "file" : "mem") +
-                                 (async == AsyncIo::kOn ? "+async" : "+sync") +
-                                 (pool ? "+pool" : "") + (stage ? "+stage" : ""));
-                    EXPECT_EQ(t.io.read_steps, ref.io.read_steps);
-                    EXPECT_EQ(t.io.write_steps, ref.io.write_steps);
-                    EXPECT_EQ(t.io.blocks_read, ref.io.blocks_read);
-                    EXPECT_EQ(t.io.blocks_written, ref.io.blocks_written);
-                    EXPECT_EQ(t.levels, ref.levels);
-                    EXPECT_EQ(t.base_cases, ref.base_cases);
-                    EXPECT_EQ(t.step_hash, ref.step_hash);
-                    EXPECT_EQ(t.out_hash, ref.out_hash);
-                    EXPECT_EQ(t.report.equal_class_records, ref.report.equal_class_records);
-                }
-            }
+            const SortTrace t = traced_sort(Workload::kUniform, cfg,
+                                            SortJobConfig{}.io(IoPolicy{}.async(async)), backend);
+            SCOPED_TRACE(std::string(backend == DiskBackend::kFile ? "file" : "mem") +
+                         (async == AsyncIo::kOn ? "+async" : "+sync"));
+            EXPECT_EQ(t.io.read_steps, ref.io.read_steps);
+            EXPECT_EQ(t.io.write_steps, ref.io.write_steps);
+            EXPECT_EQ(t.io.blocks_read, ref.io.blocks_read);
+            EXPECT_EQ(t.io.blocks_written, ref.io.blocks_written);
+            EXPECT_EQ(t.levels, ref.levels);
+            EXPECT_EQ(t.base_cases, ref.base_cases);
+            EXPECT_EQ(t.step_hash, ref.step_hash);
+            EXPECT_EQ(t.out_hash, ref.out_hash);
+            EXPECT_EQ(t.report.equal_class_records, ref.report.equal_class_records);
         }
     }
 }
@@ -202,9 +194,9 @@ TEST(ObservabilityGuard, TracingChangesNoModelQuantity) {
 
     Tracer tracer;
     MetricsRegistry metrics;
-    SortOptions opt;
-    opt.trace = &tracer;
-    opt.metrics = &metrics;
+    SortJobConfig opt;
+    opt.obs_policy.trace = &tracer;
+    opt.obs_policy.metrics = &metrics;
     const SortTrace obs = traced_sort(Workload::kUniform, cfg, opt, DiskBackend::kMemory);
 
     EXPECT_EQ(obs.io.read_steps, plain.io.read_steps);
@@ -233,8 +225,8 @@ TEST(ObservabilityGuard, SamplingProfilerChangesNoModelQuantity) {
     const SortTrace plain = traced_sort(Workload::kUniform, cfg, {}, DiskBackend::kMemory);
 
     Profiler profiler; // default config = the CLI's default rate (997 Hz)
-    SortOptions opt;
-    opt.profiler = &profiler;
+    SortJobConfig opt;
+    opt.obs_policy.profiler = &profiler;
     const SortTrace prof = traced_sort(Workload::kUniform, cfg, opt, DiskBackend::kMemory);
 
     EXPECT_EQ(prof.io.io_steps(), plain.io.io_steps());
@@ -258,8 +250,8 @@ TEST(ObservabilityGuard, BalanceTimelineChangesNoModelQuantity) {
     const SortTrace plain = traced_sort(Workload::kUniform, cfg, {}, DiskBackend::kMemory);
 
     BalanceTimeline timeline;
-    SortOptions opt;
-    opt.balance.timeline = &timeline;
+    SortJobConfig opt;
+    opt.balance_opts.timeline = &timeline;
     const SortTrace obs = traced_sort(Workload::kUniform, cfg, opt, DiskBackend::kMemory);
 
     EXPECT_EQ(obs.io.io_steps(), plain.io.io_steps());
@@ -306,19 +298,6 @@ TEST(PhaseProfileTest, PopulatedForEverySort) {
     EXPECT_GT(ph.pool_hit_rate(), 0.0);
 }
 
-TEST(PhaseProfileTest, PoolCountersZeroWhenPoolingOff) {
-    PdmConfig cfg{.n = 5000, .m = 512, .d = 4, .b = 8, .p = 2};
-    DiskArray disks(cfg.d, cfg.b);
-    auto input = generate(Workload::kUniform, cfg.n, 12);
-    SortOptions opt;
-    opt.pool_buffers = false;
-    SortReport rep;
-    balance_sort_records(disks, input, cfg, opt, &rep);
-    EXPECT_EQ(rep.phases.pool_hits, 0u);
-    EXPECT_EQ(rep.phases.pool_misses, 0u);
-    EXPECT_EQ(rep.phases.pool_hit_rate(), 0.0);
-}
-
 // ---------------------------------------------------------------------------
 // Cross-bucket staging
 // ---------------------------------------------------------------------------
@@ -333,21 +312,6 @@ TEST(CrossBucketStaging, EngagesOnAsyncBackend) {
     EXPECT_GT(rep.phases.staged_prefetches, 0u);
     EXPECT_GT(rep.io.prefetch_block_ops, 0u);
     EXPECT_GT(rep.io.async_block_ops, 0u);
-}
-
-TEST(CrossBucketStaging, DisabledByOption) {
-    PdmConfig cfg{.n = 20000, .m = 1024, .d = 4, .b = 8, .p = 2};
-    DiskArray disks(cfg.d, cfg.b, DiskBackend::kFile,
-                    std::filesystem::temp_directory_path().string());
-    auto input = generate(Workload::kUniform, cfg.n, 13);
-    SortOptions opt;
-    opt.cross_bucket_prefetch = false;
-    SortReport rep;
-    balance_sort_records(disks, input, cfg, opt, &rep);
-    EXPECT_EQ(rep.phases.staged_prefetches, 0u);
-    EXPECT_EQ(rep.phases.overlap_hidden_seconds, 0.0);
-    // Intra-run double buffering (DESIGN.md §9) still prefetches.
-    EXPECT_GT(rep.io.prefetch_block_ops, 0u);
 }
 
 TEST(CrossBucketStaging, NoOpWithoutEngine) {
@@ -382,7 +346,7 @@ struct CkTrace {
 /// One checkpointing sort on a single live array: optionally crash (throw)
 /// at boundary `crash_at`, then resume from the checkpoint on the same
 /// array. The observer hash accumulates across both generations.
-CkTrace checkpointed_sort(const PdmConfig& cfg, const SortOptions& base_opt,
+CkTrace checkpointed_sort(const PdmConfig& cfg, const SortJobConfig& base_opt,
                           DiskBackend backend, const std::string& path,
                           std::uint64_t crash_at) {
     DiskArray disks = backend == DiskBackend::kFile
@@ -400,12 +364,12 @@ CkTrace checkpointed_sort(const PdmConfig& cfg, const SortOptions& base_opt,
     });
     auto records = generate(Workload::kUniform, cfg.n, 42);
     const BlockRun input = write_striped(disks, records);
-    SortOptions opt = base_opt;
-    opt.checkpoint_path = path;
+    SortJobConfig opt = base_opt;
+    opt.durability_policy.checkpoint_path = path;
     BlockRun out;
     bool crashed = false;
     if (crash_at != 0) {
-        opt.on_checkpoint = [crash_at](std::uint64_t seq) {
+        opt.durability_policy.on_checkpoint = [crash_at](std::uint64_t seq) {
             if (seq == crash_at) throw Crash{};
         };
     }
@@ -415,8 +379,8 @@ CkTrace checkpointed_sort(const PdmConfig& cfg, const SortOptions& base_opt,
         crashed = true;
     }
     if (crashed) {
-        opt.on_checkpoint = nullptr;
-        opt.resume_from = path;
+        opt.durability_policy.on_checkpoint = nullptr;
+        opt.durability_policy.resume_from = path;
         out = balance_sort(disks, input, cfg, opt, &t.report);
     }
     for (const Record& r : read_run(disks, out)) {
@@ -449,8 +413,8 @@ void expect_resume_equals_fresh(const CkTrace& t, const CkTrace& fresh,
 TEST(CrashConsistency, ResumeEqualsFreshAtEveryBoundaryMemory) {
     const PdmConfig cfg{.n = 4000, .m = 512, .d = 4, .b = 8, .p = 2};
     for (AsyncIo async : {AsyncIo::kOff, AsyncIo::kOn}) {
-        SortOptions opt;
-        opt.async_io = async;
+        SortJobConfig opt;
+        opt.io_policy.async_io = async;
         const std::string path =
             (std::filesystem::temp_directory_path() /
              (std::string("balsort_resume_mem_") + (async == AsyncIo::kOn ? "async" : "sync") +
@@ -482,8 +446,8 @@ TEST(CrashConsistency, ResumeEqualsFreshAtEveryBoundaryMemory) {
 TEST(CrashConsistency, ResumeEqualsFreshFileBackend) {
     const PdmConfig cfg{.n = 4000, .m = 512, .d = 4, .b = 8, .p = 2};
     for (AsyncIo async : {AsyncIo::kOff, AsyncIo::kOn}) {
-        SortOptions opt;
-        opt.async_io = async;
+        SortJobConfig opt;
+        opt.io_policy.async_io = async;
         const std::string path =
             (std::filesystem::temp_directory_path() /
              (std::string("balsort_resume_file_") + (async == AsyncIo::kOn ? "async" : "sync") +
@@ -506,8 +470,8 @@ TEST(CrashConsistency, ResumeEqualsFreshFileBackend) {
 // point suffices to pin the resume contract there too.
 TEST(CrashConsistency, ResumeEqualsFreshSynchronizedWrites) {
     const PdmConfig cfg{.n = 4000, .m = 512, .d = 4, .b = 8, .p = 2};
-    SortOptions opt;
-    opt.synchronized_writes = true;
+    SortJobConfig opt;
+    opt.io_policy.synchronized_writes = true;
     const std::string path =
         (std::filesystem::temp_directory_path() / "balsort_resume_syncw.ck").string();
     const CkTrace fresh = checkpointed_sort(cfg, opt, DiskBackend::kMemory, path, 0);
@@ -528,7 +492,7 @@ TEST(CrashConsistency, HierSortResumesOnFreshLanes) {
     HierSortConfig hc;
     hc.h = 16;
     hc.model = HierModelSpec::hmm(CostFn::log());
-    hc.checkpoint_path = path;
+    hc.durability.checkpoint_path = path;
     auto recs = generate(Workload::kUniform, 4096, 7);
 
     HierSortReport fresh_rep;
@@ -536,13 +500,13 @@ TEST(CrashConsistency, HierSortResumesOnFreshLanes) {
     const std::uint64_t k_total = fresh_rep.mechanics.checkpoints_written;
     ASSERT_GT(k_total, 2u);
 
-    hc.on_checkpoint = [k_total](std::uint64_t seq) {
+    hc.durability.on_checkpoint = [k_total](std::uint64_t seq) {
         if (seq == k_total / 2) throw Crash{};
     };
     EXPECT_THROW(hier_sort(recs, hc, nullptr), Crash);
 
-    hc.on_checkpoint = nullptr;
-    hc.resume_from = path;
+    hc.durability.on_checkpoint = nullptr;
+    hc.durability.resume_from = path;
     HierSortReport rep;
     const auto resumed = hier_sort(recs, hc, &rep);
     EXPECT_EQ(resumed, fresh);
@@ -554,7 +518,7 @@ TEST(CrashConsistency, HierSortResumesOnFreshLanes) {
     EXPECT_EQ(rep.mechanics.resumes, 1u);
     // The lane meter is observer-driven and restarts on resume, so its
     // track count covers only the post-resume traffic (the caveat
-    // documented on HierSortConfig::checkpoint_path).
+    // documented on HierSortConfig::durability).
     EXPECT_GT(rep.tracks, 0u);
     EXPECT_LT(rep.tracks, fresh_rep.tracks);
     std::filesystem::remove(path);
@@ -569,21 +533,21 @@ TEST(CrashConsistency, ResumeRejectsMismatchedConfiguration) {
     DiskArray disks(cfg.d, cfg.b);
     auto records = generate(Workload::kUniform, cfg.n, 42);
     const BlockRun input = write_striped(disks, records);
-    SortOptions opt;
-    opt.checkpoint_path = path;
-    opt.on_checkpoint = [](std::uint64_t seq) {
+    SortJobConfig opt;
+    opt.durability_policy.checkpoint_path = path;
+    opt.durability_policy.on_checkpoint = [](std::uint64_t seq) {
         if (seq == 2) throw Crash{};
     };
     EXPECT_THROW(balance_sort(disks, input, cfg, opt), Crash);
 
-    opt.on_checkpoint = nullptr;
-    opt.resume_from = path;
+    opt.durability_policy.on_checkpoint = nullptr;
+    opt.durability_policy.resume_from = path;
     PdmConfig other = cfg;
     other.m = 1024; // different memory capacity
     EXPECT_THROW(balance_sort(disks, input, other, opt), std::invalid_argument);
     // resume_from without checkpoint_path is rejected up front.
-    SortOptions no_ck;
-    no_ck.resume_from = path;
+    SortJobConfig no_ck;
+    no_ck.durability_policy.resume_from = path;
     EXPECT_THROW(balance_sort(disks, input, cfg, no_ck), std::invalid_argument);
     std::filesystem::remove(path);
 }

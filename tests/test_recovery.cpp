@@ -356,8 +356,8 @@ TEST(DeadlineFailover, TimedOutReadsServedFromParityWithCleanModelCounts) {
     PdmConfig cfg{.n = 4096, .m = 512, .d = 4, .b = 8, .p = 2};
     auto input = generate(Workload::kUniform, cfg.n, 42);
 
-    SortOptions opt;
-    opt.async_io = AsyncIo::kOn;
+    SortJobConfig opt;
+    opt.io_policy.async_io = AsyncIo::kOn;
     SortReport plain_rep;
     std::vector<Record> plain;
     {
@@ -374,8 +374,8 @@ TEST(DeadlineFailover, TimedOutReadsServedFromParityWithCleanModelCounts) {
     ft.checksums = true;
     SortReport rep;
     MetricsRegistry reg;
-    SortOptions mopt = opt;
-    mopt.metrics = &reg;
+    SortJobConfig mopt = opt;
+    mopt.obs_policy.metrics = &reg;
     DiskArray disks(cfg.d, cfg.b, DiskBackend::kMemory, ".", Constraint::kIndependentDisks, ft);
     const std::vector<Record> sorted = balance_sort_records(disks, input, cfg, mopt, &rep);
 

@@ -236,6 +236,23 @@ TEST(SvcExecutorTest, ExternalSharedExecutorIsRejected) {
     EXPECT_NE(r.reason.find("Executor"), std::string::npos) << r.reason;
 }
 
+TEST(SvcExecutorTest, CallerProgressSinkIsRejected) {
+    // The scheduler wires each job's ObsPolicy::progress to the sink that
+    // status() reads; a caller's own sink would be silently replaced.
+    DiskArray disks(8, 64);
+    SortScheduler sched(disks, SchedulerConfig{});
+    ProgressSink mine;
+    JobSpec bad;
+    bad.name = "own-progress";
+    bad.n = 16384;
+    bad.m = 2048;
+    bad.p = 2;
+    bad.config.obs_policy.progress = &mine;
+    const AdmissionResult r = sched.submit(bad);
+    EXPECT_FALSE(r.admitted);
+    EXPECT_NE(r.reason.find("progress"), std::string::npos) << r.reason;
+}
+
 TEST(SvcExecutorTest, OverwideThreadsRejectedAtAdmission) {
     // ComputePolicy::validate can't see the scheduler's executor (it is
     // only wired in at run time), so a lane cap the shared executor cannot
@@ -684,45 +701,14 @@ TEST(SvcObservatoryTest, FlightRecorderOverheadGuard) {
 // ---------------------------------------------------------------------------
 
 TEST(SvcConfigTest, PolicyValidationRejectsIncoherentCombos) {
-    BufferPool pool;
-    EXPECT_THROW(IoPolicy{}.pooled(false).pool(&pool).validate(), std::invalid_argument);
-    EXPECT_THROW(IoPolicy{}.pooled(false).pool_retain(123).validate(), std::invalid_argument);
-    EXPECT_THROW(IoPolicy{}.pool(&pool).pool_retain(123).validate(), std::invalid_argument);
-    EXPECT_NO_THROW(IoPolicy{}.pool(&pool).validate());
-    EXPECT_NO_THROW(IoPolicy{}.pooled(false).validate());
-
     EXPECT_THROW(DurabilityPolicy{}.resume("ck.bin").validate(), std::invalid_argument);
     EXPECT_THROW(DurabilityPolicy{}.hook([](std::uint64_t) {}).validate(),
                  std::invalid_argument);
     EXPECT_NO_THROW(DurabilityPolicy{}.checkpoint("ck.bin").resume("ck.bin").validate());
 
     EXPECT_NO_THROW(SortJobConfig{}.validate(8));
-    EXPECT_THROW(SortJobConfig{}.io(IoPolicy{}.pooled(false).pool(&pool)).validate(8),
+    EXPECT_THROW(SortJobConfig{}.durability(DurabilityPolicy{}.resume("ck.bin")).validate(8),
                  std::invalid_argument);
-}
-
-TEST(SvcConfigTest, OptionsFlattenIsLossless) {
-    std::atomic<bool> flag{false};
-    BufferPool pool;
-    SortJobConfig cfg;
-    cfg.buckets(12, BucketPolicy::kFixed)
-        .pivots(PivotMethod::kStreamingSketch)
-        .threads(3)
-        .reposition(true)
-        .cancel(&flag)
-        .io(IoPolicy{}.async(AsyncIo::kOn).prefetch(false).pool(&pool))
-        .durability(DurabilityPolicy{}.checkpoint("ck.bin"));
-    const SortOptions o = cfg.options();
-    EXPECT_EQ(o.s_target, 12u);
-    EXPECT_EQ(o.bucket_policy, BucketPolicy::kFixed);
-    EXPECT_EQ(o.pivot_method, PivotMethod::kStreamingSketch);
-    EXPECT_EQ(o.max_threads, 3u);
-    EXPECT_TRUE(o.reposition_buckets);
-    EXPECT_EQ(o.cancel, &flag);
-    EXPECT_EQ(o.async_io, AsyncIo::kOn);
-    EXPECT_FALSE(o.cross_bucket_prefetch);
-    EXPECT_EQ(o.shared_pool, &pool);
-    EXPECT_EQ(o.checkpoint_path, "ck.bin");
 }
 
 // ---------------------------------------------------------------------------
