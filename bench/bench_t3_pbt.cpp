@@ -4,6 +4,8 @@
 // between interleaved block ranges, penalties the paper's repositioning +
 // "touch" machinery [ACSa] would amortize — ratios sit above 1 by a
 // bounded constant but must stay FLAT in N.
+#include <string>
+
 #include "bench_common.hpp"
 #include "core/hier_sort.hpp"
 
@@ -80,8 +82,9 @@ int main() {
             auto input = generate(Workload::kUniform, 1 << 14, 5);
             HierSortReport rep;
             (void)hier_sort(input, cfg, &rep);
-            t.add_row({"(" + Table::fixed(rho, 0) + "," + Table::fixed(nu, 1) + ")",
-                       Table::fixed(rep.total_time, 0), Table::num(rep.tracks)});
+            std::string label = "(";
+            label.append(Table::fixed(rho, 0)).append(",").append(Table::fixed(nu, 1)).append(")");
+            t.add_row({label, Table::fixed(rep.total_time, 0), Table::num(rep.tracks)});
         }
         std::cout << "\nP-UMH variants (deterministic versions of [ViN]):\n";
         t.print(std::cout);

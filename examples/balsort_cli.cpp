@@ -344,6 +344,9 @@ int run(const CliOptions& o) {
         t.add_row({"disk utilization", Table::fixed(100.0 * io.utilization(cfg.d), 1) + "%"});
         t.add_row({"recovery blocks", Table::num(io.recovery_blocks())});
         t.add_row({"io timeouts", Table::num(io.io_timeouts)});
+        // Engine hand-offs (DESIGN.md §9): blocks per wakeup = ops / wakeups.
+        t.add_row({"engine block ops", Table::num(io.async_block_ops)});
+        t.add_row({"engine wakeups", Table::num(io.engine_wakeups)});
         t.add_row({"checkpoints written", Table::num(report.checkpoints_written)});
         t.add_row({"resumes", Table::num(report.resumes)});
         t.add_row({"wall time (s)", Table::fixed(timer.seconds(), 2)});

@@ -40,6 +40,7 @@ void RunManifest::write_json(std::ostream& os) const {
        << ",\"engine_busy_seconds\":" << io.engine_busy_seconds
        << ",\"engine_stall_seconds\":" << io.engine_stall_seconds
        << ",\"async_block_ops\":" << io.async_block_ops
+       << ",\"engine_wakeups\":" << io.engine_wakeups
        << ",\"max_in_flight\":" << io.max_in_flight
        << ",\"prefetch_block_ops\":" << io.prefetch_block_ops << "}";
     os << ",\"report\":{\"optimal_ios\":" << report.optimal_ios

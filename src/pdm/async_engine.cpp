@@ -81,6 +81,7 @@ AsyncEngine::AsyncEngine(std::vector<Disk*> disks, std::uint32_t max_retries,
     for (const Disk* d : disks_) BS_REQUIRE(d != nullptr, "AsyncEngine: null disk");
     queues_.resize(disks_.size());
     executing_.resize(disks_.size());
+    dequeued_.assign(disks_.size(), 0);
     obs_ = std::make_shared<const ObsBinding>();
     rebind_obs();
     if (mode_ == EngineMode::kInline) return;
@@ -119,20 +120,28 @@ void AsyncEngine::rebind_obs() {
     obs_ = std::move(b);
 }
 
+namespace {
+
+std::exception_ptr stopped_error(const IoRequest& r) {
+    return std::make_exception_ptr(
+        IoError("async engine stopped before request executed", r.disk, r.block));
+}
+
+} // namespace
+
 AsyncEngine::~AsyncEngine() {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
         // Unexecuted requests must not run (the submitter is unwinding and
         // its buffers or the disks may be going away) but their batches
-        // must still complete, or a stray wait would hang forever.
+        // must still complete, or a stray wait would hang forever. Requests
+        // a worker already dequeued get the same error from that worker.
         for (auto& q : queues_) {
             for (auto& item : q) {
                 IoCompletion& c = item->batch->completions[item->request_index];
                 c.ok = false;
-                c.error = std::make_exception_ptr(
-                    IoError("async engine stopped before request executed", item->request.disk,
-                            item->request.block));
+                c.error = stopped_error(item->request);
                 item->completed = true;
                 --item->batch->remaining;
                 ++executed_;
@@ -219,6 +228,7 @@ AsyncEngineMetrics AsyncEngine::metrics() const {
     m.busy_seconds = busy_seconds_;
     m.block_ops = executed_;
     m.max_in_flight = peak_in_flight_;
+    m.wakeups = wakeups_;
     return m;
 }
 
@@ -231,54 +241,77 @@ std::vector<std::uint32_t> AsyncEngine::per_disk_in_flight() const {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::uint32_t> depth(disks_.size(), 0);
     for (std::size_t d = 0; d < disks_.size(); ++d) {
-        depth[d] = static_cast<std::uint32_t>(queues_[d].size()) +
-                   (executing_[d] != nullptr ? 1u : 0u);
+        depth[d] = static_cast<std::uint32_t>(queues_[d].size()) + dequeued_[d];
     }
     return depth;
 }
 
 void AsyncEngine::worker_loop(std::uint32_t disk_index) {
+    std::deque<std::shared_ptr<WorkItem>>& queue = queues_[disk_index];
+    std::vector<std::shared_ptr<WorkItem>> items;
+    std::vector<ExecResult> results;
     for (;;) {
-        std::shared_ptr<WorkItem> item;
         std::shared_ptr<const ObsBinding> obs;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            cv_work_.wait(lock, [&] { return stop_ || !queues_[disk_index].empty(); });
-            if (queues_[disk_index].empty()) return; // stop_ and no work left
-            item = std::move(queues_[disk_index].front());
-            queues_[disk_index].pop_front();
-            executing_[disk_index] = item; // visible to the watchdog
+            cv_work_.wait(lock, [&] { return stop_ || !queue.empty(); });
+            if (queue.empty()) return; // stop_ and no work left
+            const std::size_t take = deadline_us_ > 0 ? 1 : queue.size();
+            for (std::size_t i = 0; i < take; ++i) {
+                items.push_back(std::move(queue.front()));
+                queue.pop_front();
+            }
+            if (deadline_us_ > 0) executing_[disk_index] = items.front(); // watchdog's view
+            dequeued_[disk_index] = static_cast<std::uint32_t>(take);
+            ++wakeups_;
             obs = obs_;
         }
         // Deadline-mode reads land in the item's staging buffer: if the
         // watchdog abandons us mid-read, the caller's buffer is already
         // being refilled from parity and must not be overwritten by a
         // late wakeup.
-        const ExecResult res = execute(
-            item->request, item->staging.empty() ? item->request.read_buf : item->staging.data(),
-            *obs);
+        results.clear();
+        for (const auto& item : items) {
+            if (stop_.load(std::memory_order_relaxed)) {
+                ExecResult stopped;
+                stopped.ok = false;
+                stopped.error = stopped_error(item->request);
+                results.push_back(std::move(stopped));
+                continue;
+            }
+            results.push_back(execute(
+                item->request,
+                item->staging.empty() ? item->request.read_buf : item->staging.data(), *obs));
+        }
+        bool notify = false;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            busy_seconds_ += res.seconds;
             executing_[disk_index] = nullptr;
-            if (!item->abandoned) {
-                // This worker still owns the completion slot; a timed-out
-                // item was already completed (and counted) by the watchdog,
-                // and its caller buffer must stay untouched.
-                IoCompletion& c = item->batch->completions[item->request_index];
+            dequeued_[disk_index] = 0;
+            for (std::size_t i = 0; i < items.size(); ++i) {
+                WorkItem& item = *items[i];
+                const ExecResult& res = results[i];
+                busy_seconds_ += res.seconds;
+                // A timed-out item was already completed (and counted) by
+                // the watchdog, and its caller buffer must stay untouched.
+                if (item.abandoned) continue;
+                IoCompletion& c = item.batch->completions[item.request_index];
                 c.ok = res.ok;
                 c.error = res.error;
                 c.transient_retries = res.transient_retries;
-                if (res.ok && !item->staging.empty()) {
-                    std::copy(item->staging.begin(), item->staging.end(),
-                              item->request.read_buf);
+                if (res.ok && !item.staging.empty()) {
+                    std::copy(item.staging.begin(), item.staging.end(), item.request.read_buf);
                 }
-                item->completed = true;
+                item.completed = true;
                 ++executed_;
-                --item->batch->remaining;
+                if (--item.batch->remaining == 0) notify = true;
             }
+            // Submitters wait for a whole batch (wait) or for idle (drain);
+            // nothing in between is worth a wakeup.
+            if (executed_ == submitted_) notify = true;
         }
-        cv_done_.notify_all();
+        items.clear();
+        if (notify) cv_done_.notify_all();
     }
 }
 

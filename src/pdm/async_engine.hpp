@@ -9,7 +9,11 @@
 /// as one step. In threaded mode the engine restores the model's physics:
 /// one worker thread per disk, each draining a FIFO queue of block
 /// requests, so the D transfers of a step really do proceed in parallel
-/// and wall-clock can track `io_steps()`. Inline mode runs the same
+/// and wall-clock can track `io_steps()`. A worker takes every request
+/// queued on its disk in one critical section, runs them in order, and
+/// completes them under one lock, waking submitters only when a batch
+/// finishes (or the engine idles): the thread hand-off is paid once per
+/// wakeup, not once per block. Inline mode runs the same
 /// requests in order on the submitting thread, with no threads at all —
 /// the right engine for memory-speed disks, where a thread hop costs more
 /// than the transfer.
@@ -49,6 +53,7 @@
 /// engine cannot abandon the request its own caller is executing, so it
 /// ignores the deadline.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -110,13 +115,14 @@ private:
     std::shared_ptr<State> state_;
 };
 
-/// Wall-clock observability (DESIGN.md §9): how much the workers worked
-/// and how deep their queues got. An inline engine has no workers and
-/// leaves all three at zero.
+/// Wall-clock observability (DESIGN.md §9): how much the workers worked,
+/// how deep their queues got and how often they woke. An inline engine has
+/// no workers and leaves all four at zero.
 struct AsyncEngineMetrics {
     double busy_seconds = 0;        ///< summed worker time executing requests
     std::uint64_t block_ops = 0;    ///< requests executed by workers
     std::uint64_t max_in_flight = 0;///< peak submitted-but-not-executed depth
+    std::uint64_t wakeups = 0;      ///< worker dequeues (block_ops / wakeups = ops per wakeup)
 };
 
 /// Where an engine's requests execute.
@@ -186,9 +192,9 @@ public:
     /// Reads abandoned by the watchdog (completed with TimedOutIo).
     std::uint64_t timeouts() const;
 
-    /// Per-disk in-flight depth right now: queued requests plus the one a
-    /// worker is executing. Live-gauge source for the stats endpoint
-    /// (DESIGN.md §16); takes the engine mutex briefly.
+    /// Per-disk in-flight depth right now: queued requests plus those a
+    /// worker has dequeued and not yet completed. Live-gauge source for
+    /// the stats endpoint (DESIGN.md §16); takes the engine mutex briefly.
     std::vector<std::uint32_t> per_disk_in_flight() const;
 
 private:
@@ -196,6 +202,9 @@ private:
     struct ExecResult;
     struct ObsBinding;
 
+    /// Wait for work, take the disk's whole queue (one request at a time
+    /// under a deadline, so `executing_` stays exact for the watchdog),
+    /// execute it in FIFO order, complete it under one lock.
     void worker_loop(std::uint32_t disk_index);
     /// One request with its retry loop, latency histogram and trace span —
     /// the same code whether a worker or an inline submit runs it.
@@ -221,13 +230,19 @@ private:
     std::condition_variable cv_work_;  ///< workers + watchdog: work/stop/tick
     std::condition_variable cv_done_;  ///< submitters: batch/engine completion
     std::vector<std::deque<std::shared_ptr<WorkItem>>> queues_; ///< one FIFO per disk
-    std::vector<std::shared_ptr<WorkItem>> executing_; ///< per disk, null when idle
+    /// Per disk, the request a worker is executing (deadline mode only;
+    /// null when idle): what the watchdog may abandon.
+    std::vector<std::shared_ptr<WorkItem>> executing_;
+    std::vector<std::uint32_t> dequeued_; ///< per disk: taken off the queue, not yet completed
     std::uint64_t submitted_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t peak_in_flight_ = 0;
     std::uint64_t timeouts_ = 0;
+    std::uint64_t wakeups_ = 0;
     double busy_seconds_ = 0; ///< guarded by mutex_ (folded per request)
-    bool stop_ = false;
+    /// Written under mutex_; a worker also reads it lock-free between the
+    /// requests it dequeued, so a stopping engine runs none it had not begun.
+    std::atomic<bool> stop_{false};
 
     std::thread watchdog_;             ///< running only when deadline_us_ > 0
     std::vector<std::thread> workers_; ///< constructed last, joined first

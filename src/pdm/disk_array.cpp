@@ -61,6 +61,24 @@ void xor_into(std::span<Record> acc, std::span<const Record> src) {
     }
 }
 
+/// Predicate over write-behind groups: true for those `owner` wrote.
+auto owned_by(const JobIoChannel* owner) {
+    return [owner](const auto& group) { return group.owner == owner; };
+}
+
+/// Engine requests writing the i-th op's block from `src + i * b`.
+std::vector<IoRequest> write_requests(std::span<const BlockOp> ops, const Record* src,
+                                      std::size_t b) {
+    std::vector<IoRequest> requests(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        requests[i].kind = IoRequest::Kind::kWrite;
+        requests[i].disk = ops[i].disk;
+        requests[i].block = ops[i].block;
+        requests[i].write_data = src + i * b;
+    }
+    return requests;
+}
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
@@ -442,38 +460,41 @@ void DiskArray::write_step(std::span<const BlockOp> ops, std::span<const Record>
         update_parity(ops, buffers);
     }
     charge_write_step(ops); // also bumps next_free_ past every written block
+    JobIoChannel* jc = bound_channel();
     // Write-behind needs workers to overlap with, and parity off: a failed
     // parity-mode write must degrade into parity before any later step can
     // read the stale-but-valid block, so it settles here, under mu_.
-    const bool write_behind = async_enabled() && !parity;
-    JobIoChannel* jc = bound_channel();
-    PendingWrite pending;
-    pending.ops.assign(ops.begin(), ops.end());
-    pending.owner = jc;
-    if (write_behind) pending.data.assign(buffers.begin(), buffers.end());
-    const Record* src = write_behind ? pending.data.data() : buffers.data();
-    std::vector<IoRequest> requests(ops.size());
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        requests[i].kind = IoRequest::Kind::kWrite;
-        requests[i].disk = ops[i].disk;
-        requests[i].block = ops[i].block;
-        requests[i].write_data = src + i * b_;
-    }
-    pending.batch = engine_->submit(std::move(requests));
-    if (!write_behind) {
+    if (!async_enabled() || parity) {
+        PendingWrite pending;
+        pending.ops.assign(ops.begin(), ops.end());
+        pending.owner = jc;
+        pending.batch = engine_->submit(write_requests(ops, buffers.data(), b_));
         settle_write(pending);
         return;
     }
-    pending_writes_.push_back(std::move(pending));
-    // Opportunistic reap keeps deferred failures from aging; the per-owner
-    // bound keeps each job's buffered write-behind memory at O(D * B).
+    // Write-behind: the step joins this owner's collecting group, which
+    // reaches the engine as one batch, so a disk worker serves the whole
+    // group in one wakeup instead of one block per hand-off.
+    auto group = std::find_if(collecting_.begin(), collecting_.end(), owned_by(jc));
+    if (group == collecting_.end()) {
+        group = collecting_.emplace(collecting_.end());
+        group->owner = jc;
+        group->disks.assign(disks_.size(), false);
+        group->ops.reserve(kMaxPendingWrites * disks_.size());
+        group->data.reserve(kMaxPendingWrites * disks_.size() * b_);
+    }
+    group->ops.insert(group->ops.end(), ops.begin(), ops.end());
+    group->data.insert(group->data.end(), buffers.begin(), buffers.end());
+    for (const BlockOp& op : ops) group->disks[op.disk] = true;
+    if (++group->steps == kMaxPendingWrites) {
+        submit_group(static_cast<std::size_t>(group - collecting_.begin()));
+    }
+    // Opportunistic reap keeps deferred failures from aging.
     reap_pending_writes(/*all=*/false);
-    // Over budget: land this owner's oldest batches. The waits happen with
-    // mu_ released, so a slow device throttles only this job, never its
-    // neighbors' submissions.
-    while (std::count_if(pending_writes_.begin(), pending_writes_.end(),
-                         [jc](const PendingWrite& p) { return p.owner == jc; }) >
-           static_cast<std::ptrdiff_t>(kMaxPendingWrites)) {
+    // Over budget: land this owner's oldest groups until one is left in
+    // flight. The waits happen with mu_ released, so a slow device
+    // throttles only this job, never its neighbors' submissions.
+    while (std::count_if(pending_writes_.begin(), pending_writes_.end(), owned_by(jc)) > 1) {
         finish_oldest_write(jc, lk);
     }
     if (jc != nullptr && jc->deferred_failure) {
@@ -572,6 +593,7 @@ void DiskArray::set_async(bool enabled) {
     folded_busy_seconds_ += m.busy_seconds;
     folded_block_ops_ += m.block_ops;
     folded_max_in_flight_ = std::max(folded_max_in_flight_, m.max_in_flight);
+    folded_wakeups_ += m.wakeups;
     engine_ = make_engine(enabled ? EngineMode::kThreaded : EngineMode::kInline);
 }
 
@@ -589,9 +611,9 @@ void DiskArray::drain_async() {
         return;
     }
     // Channel-scoped drain: a bound job's boundary needs ITS writes
-    // durable, not the whole engine idle. Each own batch is waited with
-    // mu_ released, so one job flushing never freezes its neighbors'
-    // submissions; their batches stay queued.
+    // durable, not the whole engine idle. Each own group is submitted and
+    // waited with mu_ released, so one job flushing never freezes its
+    // neighbors' submissions; their groups stay queued or collecting.
     while (finish_oldest_write(c, lk)) {
     }
     reap_pending_writes(/*all=*/false); // tidy neighbors' done batches
@@ -618,6 +640,7 @@ void DiskArray::refresh_engine_stats() const {
     stats_.engine_busy_seconds = folded_busy_seconds_ + m.busy_seconds;
     stats_.async_block_ops = folded_block_ops_ + m.block_ops;
     stats_.max_in_flight = std::max(folded_max_in_flight_, m.max_in_flight);
+    stats_.engine_wakeups = folded_wakeups_ + m.wakeups;
 }
 
 double DiskArray::wait_batch(AsyncBatch& batch) {
@@ -670,11 +693,36 @@ void DiskArray::charge_read_batch(std::span<const BlockOp> ops) {
     }
 }
 
+void DiskArray::submit_group(std::size_t i) {
+    PendingWrite group = std::move(collecting_[i]);
+    collecting_.erase(collecting_.begin() + static_cast<std::ptrdiff_t>(i));
+    group.batch = engine_->submit(write_requests(group.ops, group.data.data(), b_));
+    pending_writes_.push_back(std::move(group));
+}
+
+template <class Pred>
+void DiskArray::submit_groups_if(Pred which) {
+    for (std::size_t i = 0; i < collecting_.size();) {
+        if (which(collecting_[i])) {
+            submit_group(i);
+        } else {
+            ++i;
+        }
+    }
+}
+
 DiskArray::ReadTicket DiskArray::submit_read(std::span<const BlockOp> ops,
                                              std::span<Record> dest) {
     BS_REQUIRE(dest.size() == ops.size() * b_, "submit_read: buffer size mismatch");
     ReadTicket ticket;
     if (ops.empty()) return ticket;
+    // Ordering point: collected writes to these disks go first, so the
+    // read queues behind them exactly as if each write step had been
+    // submitted at once (read-after-write, fault-op order).
+    submit_groups_if([ops](const PendingWrite& g) {
+        return std::any_of(ops.begin(), ops.end(),
+                           [&g](const BlockOp& op) { return g.disks[op.disk]; });
+    });
     ticket.ops_.assign(ops.begin(), ops.end());
     ticket.dest_ = dest;
     std::vector<IoRequest> requests(ops.size());
@@ -786,6 +834,7 @@ void DiskArray::handle_read_failure(const BlockOp& op, const std::exception_ptr&
 }
 
 void DiskArray::reap_pending_writes(bool all) {
+    if (all) submit_groups_if([](const PendingWrite&) { return true; });
     while (!pending_writes_.empty()) {
         if (!all && !engine_->done(pending_writes_.front().batch)) break;
         PendingWrite pending = std::move(pending_writes_.front());
@@ -796,9 +845,13 @@ void DiskArray::reap_pending_writes(bool all) {
 
 bool DiskArray::finish_oldest_write(JobIoChannel* owner,
                                     std::unique_lock<std::recursive_mutex>& lk) {
-    const auto it = std::find_if(pending_writes_.begin(), pending_writes_.end(),
-                                 [owner](const PendingWrite& p) { return p.owner == owner; });
-    if (it == pending_writes_.end()) return false;
+    auto it = std::find_if(pending_writes_.begin(), pending_writes_.end(), owned_by(owner));
+    if (it == pending_writes_.end()) {
+        const auto group = std::find_if(collecting_.begin(), collecting_.end(), owned_by(owner));
+        if (group == collecting_.end()) return false;
+        submit_group(static_cast<std::size_t>(group - collecting_.begin()));
+        it = std::prev(pending_writes_.end());
+    }
     // Off the deque (under the lock) the batch is this thread's alone, so
     // no other thread can reap it while mu_ is released for the wait.
     PendingWrite pending = std::move(*it);
@@ -903,6 +956,14 @@ void DiskArray::release(std::uint32_t disk, std::uint64_t block) {
     std::lock_guard<std::recursive_mutex> lk(mu_);
     BS_REQUIRE(disk < disks_.size(), "release: nonexistent disk");
     BS_REQUIRE(block < next_free_[disk], "release: block was never allocated");
+    // Ordering point: a block must not reach the allocator while a write
+    // to it is still collecting, or its next owner's write could land
+    // first and be overwritten by the stale one.
+    submit_groups_if([disk, block](const PendingWrite& g) {
+        return g.disks[disk] && std::any_of(g.ops.begin(), g.ops.end(), [&](const BlockOp& op) {
+                   return op.disk == disk && op.block == block;
+               });
+    });
     JobIoChannel* c = bound_channel();
     if (c != nullptr) {
         if (c->owned[disk].erase(block) != 0) --c->blocks_live;

@@ -245,12 +245,14 @@ public:
     void read_step(std::span<const BlockOp> ops, std::span<Record> buffers);
 
     /// One parallel write step (same layout rules as read_step). With
-    /// worker threads and parity off the step is write-behind: the data is
-    /// copied, submitted, and settled later (at most kMaxPendingWrites
-    /// batches in flight per job; a failure surfaces at a later write or at
-    /// drain_async()). Otherwise it settles before returning — parity RMW
-    /// must read old images, and a failed write must degrade into parity
-    /// before anyone can read the stale block.
+    /// worker threads and parity off the step is write-behind: it is
+    /// charged at once, its data is copied into the job's collecting
+    /// group, and the group goes to the engine as one batch when it holds
+    /// kMaxPendingWrites steps or an ordering point needs it (a read or
+    /// release touching its writes, a drain); a failure surfaces at a
+    /// later write or at drain_async(). Otherwise it settles before
+    /// returning — parity RMW must read old images, and a failed write
+    /// must degrade into parity before anyone can read the stale block.
     void write_step(std::span<const BlockOp> ops, std::span<const Record> buffers);
 
     /// Read an arbitrary list of blocks using the fewest steps: blocks are
@@ -294,15 +296,19 @@ public:
     /// True while per-disk worker threads execute the transfers.
     bool async_enabled() const { return engine_->mode() == EngineMode::kThreaded; }
 
-    /// Complete all in-flight work: reap pending write-behind batches
-    /// (surfacing any deferred failures) and wait for the engine to idle.
-    /// After this, direct disk access (disk_for_testing, reconstruct_block)
-    /// is safe. Nothing is ever in flight on an inline engine.
+    /// Complete all in-flight work: submit and reap every write-behind
+    /// group (surfacing any deferred failures) and wait for the engine to
+    /// idle. After this, direct disk access (disk_for_testing,
+    /// reconstruct_block) is safe. Nothing is ever in flight on an inline
+    /// engine. With a job channel bound, only the job's own groups are
+    /// landed (DESIGN.md §14).
     void drain_async();
 
-    /// Per-disk in-flight request depth of the worker engine (empty when
-    /// the engine is inline) — live-gauge source for the stats endpoint.
-    /// Wall-clock observability only; touches no model state.
+    /// Per-disk in-flight request depth of the worker engine: queued plus
+    /// dequeued-but-unfinished requests (empty when the engine is inline)
+    /// — live-gauge source for the stats endpoint. Writes still in a
+    /// collecting group are not in flight yet. Wall-clock observability
+    /// only; touches no model state.
     std::vector<std::uint32_t> async_in_flight() const;
 
     /// Submit transfers WITHOUT charging model costs — pair each prefetch
@@ -409,19 +415,25 @@ private:
     void check_step_legal(std::span<const BlockOp> ops) const;
 
     // -- engine internals (all called on the submitting thread) --
-    /// One submitted write batch. A write-behind batch's engine requests
-    /// point into `data`, which we own until the batch is reaped (a batch
-    /// settled within its step writes straight from the caller's buffer
-    /// and leaves `data` empty). `owner` is the submitting job's channel
-    /// (null when unbound): whichever thread reaps the batch, its retries
-    /// and failures are attributed — and deferred — to the owner.
+    /// One write batch. A write-behind group first collects whole write
+    /// steps (`batch` invalid, `disks` marks the disks it writes), then is
+    /// submitted as one engine batch whose requests point into `data`,
+    /// which we own until the batch is reaped (a batch settled within its
+    /// step writes straight from the caller's buffer and leaves `data`
+    /// empty). `owner` is the writing job's channel (null when unbound):
+    /// whichever thread reaps the batch, its retries and failures are
+    /// attributed — and deferred — to the owner.
     struct PendingWrite {
         AsyncBatch batch;
         std::vector<BlockOp> ops;
         std::vector<Record> data;
         JobIoChannel* owner = nullptr;
+        std::size_t steps = 0;
+        std::vector<bool> disks;
     };
-    /// Per owner: each job's write-behind window is bounded independently.
+    /// Write steps per write-behind group. Each owner holds at most one
+    /// collecting group and, after its write_step returns, one in flight,
+    /// so a job's buffered write-behind memory stays O(D * B).
     static constexpr std::size_t kMaxPendingWrites = 8;
 
     /// The channel bound to this array on the calling thread (null if
@@ -440,15 +452,23 @@ private:
     /// reconstruction (+ scrub of a corrupt block) or rethrow.
     void handle_read_failure(const BlockOp& op, const std::exception_ptr& error,
                              std::span<Record> out);
-    /// Reap completed (or, with `all`, every) pending write-behind batch.
+    /// Submit collecting group `i` to the engine; it joins pending_writes_.
+    void submit_group(std::size_t i);
+    /// Submit every collecting group `which` selects — the ordering point
+    /// that keeps each disk's order of reads and writes what it would be
+    /// if every write step were submitted at once.
+    template <class Pred>
+    void submit_groups_if(Pred which);
+    /// Reap completed (or, with `all`, every — collecting groups first
+    /// submitted) pending write-behind batch.
     void reap_pending_writes(bool all);
     /// Reap every pending write and wait for the workers to idle, so the
     /// caller (holding mu_) may touch the disks directly.
     void quiesce();
-    /// Settle `owner`'s oldest pending write-behind batch with `lk`
-    /// released around the engine wait; false if it has none. Keeps a
-    /// stalled writer from serializing every other job's submissions on
-    /// mu_.
+    /// Settle `owner`'s oldest write-behind group — its oldest in flight,
+    /// else its collecting group, submitted first — with `lk` released
+    /// around the engine wait; false if it has none. Keeps a stalled
+    /// writer from serializing every other job's submissions on mu_.
     bool finish_oldest_write(JobIoChannel* owner, std::unique_lock<std::recursive_mutex>& lk);
     /// Wait for a write batch (under mu_), fold its retry counters into
     /// the owner, and run the write ladder on each failed op.
@@ -525,12 +545,14 @@ private:
 
     // -- engine state --
     std::unique_ptr<AsyncEngine> engine_; ///< never null; destroyed before disks_
-    std::deque<PendingWrite> pending_writes_; ///< write-behind (threaded only)
+    std::vector<PendingWrite> collecting_;    ///< write-behind groups not yet submitted, one per owner
+    std::deque<PendingWrite> pending_writes_; ///< submitted write-behind groups, oldest first
     // Metrics of engines already torn down (set_async folds them here so
     // stats() stays monotone across enable/disable cycles).
     double folded_busy_seconds_ = 0;
     std::uint64_t folded_block_ops_ = 0;
     std::uint64_t folded_max_in_flight_ = 0;
+    std::uint64_t folded_wakeups_ = 0;
 };
 
 } // namespace balsort

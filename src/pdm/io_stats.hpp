@@ -33,12 +33,14 @@ struct IoStats {
     // Observability for the request/completion engine's worker threads.
     // These measure the real machine (seconds, queue depths), never model
     // costs; an inline engine (workers off) executes on the submitting
-    // thread, never waits, and leaves all four at zero. io_steps() is
+    // thread, never waits, and leaves all five at zero. io_steps() is
     // charged identically in both modes — the wall-clock-vs-model-cost
     // separation.
     double engine_busy_seconds = 0;   ///< summed per-disk worker execution time
     double engine_stall_seconds = 0;  ///< submitter time blocked awaiting worker completions
     std::uint64_t async_block_ops = 0;///< block transfers executed by the workers
+    std::uint64_t engine_wakeups = 0; ///< worker dequeues; async_block_ops / engine_wakeups
+                                      ///  is the blocks served per thread hand-off
     std::uint64_t max_in_flight = 0;  ///< peak worker requests in flight (high-water)
     std::uint64_t prefetch_block_ops = 0; ///< block ops issued ahead of consumption
                                           ///  (prefetch_read; model charge lands later)
@@ -75,6 +77,7 @@ struct IoStats {
         engine_busy_seconds += o.engine_busy_seconds;
         engine_stall_seconds += o.engine_stall_seconds;
         async_block_ops += o.async_block_ops;
+        engine_wakeups += o.engine_wakeups;
         max_in_flight = max_in_flight > o.max_in_flight ? max_in_flight : o.max_in_flight;
         prefetch_block_ops += o.prefetch_block_ops;
         return *this;
@@ -95,6 +98,7 @@ struct IoStats {
         a.engine_busy_seconds -= b.engine_busy_seconds;
         a.engine_stall_seconds -= b.engine_stall_seconds;
         a.async_block_ops -= b.async_block_ops;
+        a.engine_wakeups -= b.engine_wakeups;
         a.prefetch_block_ops -= b.prefetch_block_ops;
         // max_in_flight is a high-water mark, not a flow: interval deltas
         // keep the left operand's peak unchanged.

@@ -1,18 +1,24 @@
 // Tests for the request/completion engine (DESIGN.md §9): AsyncEngine
 // semantics (per-disk FIFO, deferred failures, retry counting, inline
-// mode), DiskArray's engine entry points (charge-at-submit accounting,
-// prefetch + charge-at-consume, write-behind), and the end-to-end guarantee
+// mode, one dequeue per wakeup), DiskArray's engine entry points
+// (charge-at-submit accounting, prefetch + charge-at-consume, grouped
+// write-behind and its ordering points), and the end-to-end guarantee
 // that a sort run through the worker threads is bit-identical to the
 // inline engine in everything the model measures — io_steps, structure
 // counters, output — while actually routing its blocks through the
 // workers.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
+#include <thread>
 
 #include "balsort.hpp"
 #include "pdm/async_engine.hpp"
 #include "pdm/faulty_disk.hpp"
+#include "pdm/job_channel.hpp"
 #include "pdm/mem_disk.hpp"
 
 namespace balsort {
@@ -22,6 +28,67 @@ std::vector<Record> make_block(std::size_t b, std::uint64_t tag) {
     std::vector<Record> blk(b);
     for (std::size_t i = 0; i < b; ++i) blk[i] = {tag * 100 + i, tag};
     return blk;
+}
+
+/// Test decorator: holds the first block op on a latch until release(),
+/// and logs the block index of every op in execution order.
+class LatchedDisk final : public Disk {
+public:
+    explicit LatchedDisk(Disk& inner) : inner_(inner) {}
+
+    std::size_t block_size() const override { return inner_.block_size(); }
+    std::uint64_t size_blocks() const override { return inner_.size_blocks(); }
+    void read_block(std::uint64_t index, std::span<Record> out) const override {
+        hold(index);
+        inner_.read_block(index, out);
+    }
+    void write_block(std::uint64_t index, std::span<const Record> in) override {
+        hold(index);
+        inner_.write_block(index, in);
+    }
+
+    /// Block until the first op is being held.
+    void wait_entered() const {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] { return entered_; });
+    }
+    void release() {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            released_ = true;
+        }
+        cv_.notify_all();
+    }
+    std::vector<std::uint64_t> order() const {
+        std::lock_guard<std::mutex> lock(mu_);
+        return order_;
+    }
+
+private:
+    void hold(std::uint64_t index) const {
+        std::unique_lock<std::mutex> lock(mu_);
+        order_.push_back(index);
+        if (order_.size() > 1) return;
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return released_; });
+    }
+
+    Disk& inner_;
+    mutable std::mutex mu_;
+    mutable std::condition_variable cv_;
+    mutable bool entered_ = false;
+    bool released_ = false;
+    mutable std::vector<std::uint64_t> order_;
+};
+
+IoRequest read_request(std::uint32_t disk, std::uint64_t block, Record* buf) {
+    IoRequest r;
+    r.kind = IoRequest::Kind::kRead;
+    r.disk = disk;
+    r.block = block;
+    r.read_buf = buf;
+    return r;
 }
 
 // ------------------------------------------------------------- AsyncEngine
@@ -205,6 +272,64 @@ TEST(AsyncEngine, InlineAndThreadedRetryTheSameFaultSequence) {
     EXPECT_EQ(inline_retries, retries(EngineMode::kThreaded));
 }
 
+TEST(AsyncEngine, WorkerServesItsWholeQueuePerWakeup) {
+    // 63 reads queue up, one submit each, behind a read held on the
+    // latch: once released, the worker takes them all in one dequeue and
+    // runs them in submission order.
+    constexpr std::size_t kB = 4;
+    constexpr std::uint64_t kReads = 64;
+    MemDisk base(kB);
+    for (std::uint64_t i = 0; i < kReads; ++i) base.write_block(i, make_block(kB, i));
+    LatchedDisk latched(base);
+    AsyncEngine engine({&latched}, /*max_retries=*/0, /*backoff_base_us=*/0);
+    std::vector<Record> buf(kReads * kB);
+    std::vector<AsyncBatch> batches;
+    batches.push_back(engine.submit({read_request(0, 0, buf.data())}));
+    latched.wait_entered();
+    for (std::uint64_t i = 1; i < kReads; ++i) {
+        batches.push_back(engine.submit({read_request(0, i, buf.data() + i * kB)}));
+    }
+    EXPECT_EQ(engine.per_disk_in_flight(), std::vector<std::uint32_t>{kReads});
+    latched.release();
+    for (AsyncBatch& b : batches) EXPECT_TRUE(engine.wait(b)[0].ok);
+    std::vector<std::uint64_t> fifo(kReads);
+    for (std::uint64_t i = 0; i < kReads; ++i) fifo[i] = i;
+    EXPECT_EQ(latched.order(), fifo);
+    for (std::uint64_t i = 0; i < kReads; ++i) {
+        EXPECT_EQ(std::vector<Record>(buf.begin() + static_cast<std::ptrdiff_t>(i * kB),
+                                      buf.begin() + static_cast<std::ptrdiff_t>((i + 1) * kB)),
+                  make_block(kB, i));
+    }
+    const AsyncEngineMetrics m = engine.metrics();
+    EXPECT_EQ(m.block_ops, kReads);
+    EXPECT_GE(m.wakeups, 1u);
+    EXPECT_LE(m.wakeups, 2u);
+    EXPECT_EQ(engine.per_disk_in_flight(), std::vector<std::uint32_t>{0});
+}
+
+TEST(AsyncEngine, InFlightCountsDequeuedButUnfinishedRequests) {
+    // One batch of 8: the worker dequeues all of it in one wakeup and is
+    // held on the first. Nothing is queued any more, yet all 8 are in
+    // flight until they complete.
+    constexpr std::size_t kB = 4;
+    MemDisk base(kB);
+    for (std::uint64_t i = 0; i < 8; ++i) base.write_block(i, make_block(kB, i));
+    LatchedDisk latched(base);
+    AsyncEngine engine({&latched}, 0, 0);
+    std::vector<Record> buf(8 * kB);
+    std::vector<IoRequest> reqs;
+    for (std::uint64_t i = 0; i < 8; ++i) reqs.push_back(read_request(0, i, buf.data() + i * kB));
+    AsyncBatch batch = engine.submit(std::move(reqs));
+    latched.wait_entered();
+    EXPECT_EQ(engine.metrics().wakeups, 1u);
+    EXPECT_EQ(engine.per_disk_in_flight(), std::vector<std::uint32_t>{8});
+    EXPECT_FALSE(engine.done(batch));
+    latched.release();
+    engine.wait(batch);
+    EXPECT_EQ(engine.per_disk_in_flight(), std::vector<std::uint32_t>{0});
+    EXPECT_EQ(engine.metrics().wakeups, 1u);
+}
+
 // ------------------------------------------------- DiskArray async routing
 
 TEST(DiskArrayAsync, EngineOffArrayRunsInlineAndShowsNoWorkers) {
@@ -221,6 +346,7 @@ TEST(DiskArrayAsync, EngineOffArrayRunsInlineAndShowsNoWorkers) {
     EXPECT_EQ(read_run(arr, run), recs);
     const IoStats s = arr.stats();
     EXPECT_EQ(s.async_block_ops, 0u);
+    EXPECT_EQ(s.engine_wakeups, 0u);
     EXPECT_EQ(s.max_in_flight, 0u);
     EXPECT_EQ(s.engine_busy_seconds, 0.0);
     EXPECT_EQ(s.engine_stall_seconds, 0.0);
@@ -371,8 +497,169 @@ TEST(BalanceSortAsync, FileBackendAutoEnablesTheEngine) {
     }
     EXPECT_GT(auto_rep.io.async_block_ops, 0u); // kAuto == on for kFile
     EXPECT_EQ(off_rep.io.async_block_ops, 0u);
+    // Every wakeup serves at least one block; inline there are none.
+    EXPECT_GT(auto_rep.io.engine_wakeups, 0u);
+    EXPECT_LE(auto_rep.io.engine_wakeups, auto_rep.io.async_block_ops);
+    EXPECT_EQ(off_rep.io.engine_wakeups, 0u);
     EXPECT_EQ(auto_sorted, off_sorted);
     EXPECT_EQ(auto_rep.io.io_steps(), off_rep.io.io_steps());
+}
+
+// -------------------------------------------------- grouped write-behind
+// With workers on and parity off, write steps collect per owner and reach
+// the engine as one batch (DESIGN.md §9). These pin the ordering points.
+
+std::unique_ptr<DiskArray> threaded_file_array(std::uint32_t d, std::uint32_t b,
+                                               FaultTolerance ft = {}, DeviceModel dev = {}) {
+    auto arr = std::make_unique<DiskArray>(d, b, DiskBackend::kFile,
+                                           std::filesystem::temp_directory_path().string(),
+                                           Constraint::kIndependentDisks, ft, dev);
+    arr->set_async(true);
+    return arr;
+}
+
+/// Poll `done` until it holds or 10 s pass; false on timeout.
+template <class Pred>
+bool eventually(Pred done) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline) return false;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return true;
+}
+
+/// One write step putting block `block` on every disk, tagged by step.
+void write_all_disks(DiskArray& arr, std::uint64_t block, std::uint64_t tag) {
+    const std::uint32_t d = arr.num_disks();
+    const std::size_t b = arr.block_size();
+    std::vector<BlockOp> ops;
+    std::vector<Record> data;
+    for (std::uint32_t i = 0; i < d; ++i) {
+        ops.push_back({i, block});
+        const auto blk = make_block(b, tag * 16 + i);
+        data.insert(data.end(), blk.begin(), blk.end());
+    }
+    arr.write_step(ops, data);
+}
+
+TEST(GroupedWriteBehind, ReadOfCollectingBlockReturnsWrittenImage) {
+    const auto owned = threaded_file_array(2, 4);
+    DiskArray& arr = *owned;
+    const std::uint64_t blk = arr.allocate(0, 1);
+    arr.allocate(1, 1);
+    write_all_disks(arr, blk, 7);
+    // The step is still collecting: nothing reached the engine yet.
+    EXPECT_EQ(arr.stats().async_block_ops, 0u);
+    const std::vector<BlockOp> ops{{0, blk}, {1, blk}};
+    std::vector<Record> got(2 * 4);
+    arr.read_step(ops, got);
+    std::vector<Record> want = make_block(4, 7 * 16);
+    const auto second = make_block(4, 7 * 16 + 1);
+    want.insert(want.end(), second.begin(), second.end());
+    EXPECT_EQ(got, want);
+    arr.drain_async();
+    EXPECT_EQ(arr.stats().async_block_ops, 4u); // 2 writes, then 2 reads
+}
+
+TEST(GroupedWriteBehind, ReleaseSubmitsTheCollectingWriteBeforeReuse) {
+    const auto owned = threaded_file_array(2, 4);
+    DiskArray& arr = *owned;
+    const std::uint64_t blk = arr.allocate(0, 1);
+    arr.allocate(1, 1);
+    write_all_disks(arr, blk, 3);
+    EXPECT_EQ(arr.stats().async_block_ops, 0u);
+    // Once free, the block may go to another owner whose write must land
+    // after this one: release submits the group holding it.
+    arr.release(0, blk);
+    EXPECT_TRUE(eventually([&] { return arr.stats_snapshot().async_block_ops == 2; }));
+    arr.drain_async();
+    EXPECT_EQ(arr.stats().async_block_ops, 2u);
+}
+
+TEST(GroupedWriteBehind, FaultInsideGroupSurfacesAtNextDrain) {
+    FaultTolerance ft;
+    ft.inject.seed = 9;
+    ft.inject.die_after_ops = 2; // disk 0's third op fails for good
+    ft.die_disk = 0;
+    const auto owned = threaded_file_array(2, 4, ft);
+    DiskArray& arr = *owned;
+    // Three steps fit in one collecting group: no block has moved, so
+    // no write can have failed yet.
+    for (std::uint64_t step = 0; step < 3; ++step) {
+        EXPECT_NO_THROW(write_all_disks(arr, step, step));
+    }
+    EXPECT_EQ(arr.stats().async_block_ops, 0u);
+    EXPECT_THROW(arr.drain_async(), DiskFailed);
+    EXPECT_FALSE(arr.health(0).alive);
+    EXPECT_EQ(arr.stats().write_steps, 3u); // charged at write_step, unchanged
+}
+
+TEST(GroupedWriteBehind, NeighbourDrainParksFaultOnOwnersChannel) {
+    // Two jobs on one array, as SortScheduler binds them. Job A fills a
+    // group onto a dying disk and leaves it in flight; job B's drain
+    // reaps it. The failure is A's: it parks on A's channel, B's drain
+    // returns normally, and A's next drain throws it.
+    FaultTolerance ft;
+    ft.inject.seed = 11;
+    ft.inject.die_after_ops = 4;
+    ft.die_disk = 0;
+    DeviceModel slow;
+    slow.latency_us = 1000; // keeps A's group in flight past A's own reap
+    const auto owned = threaded_file_array(2, 4, ft, slow);
+    DiskArray& arr = *owned;
+    JobIoChannel a, b;
+    std::thread([&] {
+        JobChannelBinding bind(arr, &a);
+        const std::uint64_t first = arr.allocate(0, 8);
+        arr.allocate(1, 8);
+        // Exactly one full group: submitted by the 8th step, not waited.
+        for (std::uint64_t step = 0; step < 8; ++step) write_all_disks(arr, first + step, step);
+    }).join();
+    // Let the workers finish A's group so B's opportunistic reap takes it.
+    ASSERT_TRUE(eventually([&] {
+        const auto depth = arr.async_in_flight();
+        return std::all_of(depth.begin(), depth.end(), [](std::uint32_t n) { return n == 0; });
+    }));
+    std::thread([&] {
+        JobChannelBinding bind(arr, &b);
+        EXPECT_NO_THROW(arr.drain_async());
+    }).join();
+    EXPECT_TRUE(a.deferred_failure != nullptr);
+    EXPECT_TRUE(b.deferred_failure == nullptr);
+    EXPECT_EQ(arr.channel_stats(a).write_steps, 8u);
+    std::thread([&] {
+        JobChannelBinding bind(arr, &a);
+        EXPECT_THROW(arr.drain_async(), DiskFailed);
+    }).join();
+    EXPECT_TRUE(a.deferred_failure == nullptr);
+}
+
+TEST(GroupedWriteBehind, AsyncInFlightCountsDequeuedUnfinishedOps) {
+    DeviceModel slow;
+    slow.latency_us = 25000; // four reads on disk 0: ~100 ms to finish
+    const auto owned = threaded_file_array(2, 4, {}, slow);
+    DiskArray& arr = *owned;
+    const std::uint64_t first = arr.allocate(0, 4);
+    arr.allocate(1, 4);
+    for (std::uint64_t i = 0; i < 4; ++i) write_all_disks(arr, first + i, i);
+    arr.drain_async();
+    const std::uint64_t wakeups = arr.stats_snapshot().engine_wakeups;
+    const std::vector<BlockOp> ops{{0, first}, {0, first + 1}, {0, first + 2}, {0, first + 3}};
+    std::vector<Record> buf(4 * 4);
+    DiskArray::ReadTicket t = arr.prefetch_read(ops, buf);
+    // Wait for the worker to take the reads off its queue: one wakeup
+    // dequeues all four, and they stay in flight until all complete.
+    ASSERT_TRUE(eventually([&] { return arr.stats_snapshot().engine_wakeups > wakeups; }));
+    EXPECT_EQ(arr.async_in_flight(), (std::vector<std::uint32_t>{4, 0}));
+    arr.complete_read(t);
+    EXPECT_EQ(arr.async_in_flight(), (std::vector<std::uint32_t>{0, 0}));
+    EXPECT_EQ(arr.stats_snapshot().engine_wakeups, wakeups + 1);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(std::vector<Record>(buf.begin() + static_cast<std::ptrdiff_t>(i * 4),
+                                      buf.begin() + static_cast<std::ptrdiff_t>((i + 1) * 4)),
+                  make_block(4, i * 16));
+    }
 }
 
 // ------------------------------------------------- SortJobConfig::validate()
