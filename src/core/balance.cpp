@@ -119,6 +119,11 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
         static_cast<std::size_t>(std::min<std::uint64_t>(memory_records, input.remaining())));
     auto wbuf = BufferPool::acquire_from(buffers, static_cast<std::size_t>(dv) * v);
     std::vector<std::uint32_t> chunk_bucket;
+    // Per-track scratch, hoisted so a pass allocates it once, not per
+    // track or per placement round.
+    std::vector<PendingBlock> track;
+    std::vector<std::uint32_t> assigned, pending, writable, offender_js, now, later, hs;
+    std::vector<bool> was_matched, used;
 
     auto append_output = [&](std::uint32_t b, std::uint32_t vdisk_unused,
                              const VirtualDisks::VBlock& vb, std::uint32_t count) {
@@ -161,6 +166,7 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
                 if (fill[b].size() == v) {
                     ready.push_back(PendingBlock{b, std::move(fill[b])});
                     fill[b].clear();
+                    fill[b].reserve(v); // the move took the capacity along
                 }
             }
         }
@@ -183,14 +189,13 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
         const BalanceStats before_track = local_stats; // observer deltas
         const std::uint32_t k = static_cast<std::uint32_t>(
             std::min<std::size_t>(dv, ready.size()));
-        std::vector<PendingBlock> track;
-        track.reserve(k);
+        track.clear();
         for (std::uint32_t j = 0; j < k; ++j) {
             track.push_back(std::move(ready.front()));
             ready.pop_front();
         }
         // Tentative assignment to distinct virtual disks.
-        std::vector<std::uint32_t> assigned(k);
+        assigned.assign(k, 0);
         if (opt.assign == AssignPolicy::kCyclic) {
             for (std::uint32_t j = 0; j < k; ++j) assigned[j] = (rr_cursor + j) % dv;
             rr_cursor = (rr_cursor + 1) % dv;
@@ -208,7 +213,7 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
             assigned = min_cost_assignment(cost_matrix, k, dv);
             if (cost != nullptr) cost->charge_collectives(k); // the matching work
         } else {
-            std::vector<bool> used(dv, false);
+            used.assign(dv, false);
             for (std::uint32_t j = 0; j < k; ++j) {
                 std::uint32_t best = dv, best_x = ~std::uint32_t{0};
                 for (std::uint32_t h = 0; h < dv; ++h) {
@@ -244,7 +249,7 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
             // copied in and only the tail of a final partial block needs
             // pad (full blocks overwrite their slot entirely).
             wbuf->resize(js.size() * static_cast<std::size_t>(v));
-            std::vector<std::uint32_t> hs(js.size());
+            hs.resize(js.size());
             for (std::size_t q = 0; q < js.size(); ++q) {
                 const auto& blk = track[js[q]];
                 const auto dst = wbuf->begin() + static_cast<std::ptrdiff_t>(q * v);
@@ -260,9 +265,9 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
             }
         };
 
-        std::vector<std::uint32_t> pending(k);
+        pending.resize(k);
         for (std::uint32_t j = 0; j < k; ++j) pending[j] = j;
-        std::vector<bool> was_matched(k, false);
+        was_matched.assign(k, false);
         std::uint64_t rounds = 0;
         std::uint64_t written_this_track = 0;
         const std::uint64_t defer_threshold = std::max<std::uint64_t>(1, dv / 2);
@@ -270,7 +275,8 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
         while (!pending.empty()) {
             BS_MODEL_CHECK(++safety <= 4ull * dv + 16, "track placement failed to converge");
             // Classify pending blocks by their own aux entry.
-            std::vector<std::uint32_t> writable, offender_js;
+            writable.clear();
+            offender_js.clear();
             for (std::uint32_t j : pending) {
                 if (matrices.aux(track[j].bucket, assigned[j]) <= 1) {
                     writable.push_back(j);
@@ -283,8 +289,9 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
             // arise when a matched move targets a vdisk that still carries
             // another pending block).
             {
-                std::vector<bool> used(dv, false);
-                std::vector<std::uint32_t> now, later;
+                used.assign(dv, false);
+                now.clear();
+                later.clear();
                 for (std::uint32_t j : writable) {
                     if (!used[assigned[j]]) {
                         used[assigned[j]] = true;
@@ -302,9 +309,8 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
                 }
                 written_this_track += now.size();
                 write_blocks(now); // Algorithm 3 line (6) / Algorithm 6 line (5)
-                std::vector<std::uint32_t> next_pending = std::move(later);
-                next_pending.insert(next_pending.end(), offender_js.begin(), offender_js.end());
-                pending = std::move(next_pending);
+                pending.assign(later.begin(), later.end());
+                pending.insert(pending.end(), offender_js.begin(), offender_js.end());
             }
             if (offender_js.empty()) continue; // only vdisk collisions left
             // ---- Rebalance decision (Algorithm 5). ----
@@ -334,17 +340,17 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
                 // roll X back and conceptually return the block to the
                 // input. The entries removed sit above their row medians,
                 // so the rollback cannot create new 2s.
-                std::vector<std::uint32_t> still_pending;
+                std::size_t kept = 0;
                 for (std::uint32_t j : pending) {
                     if (matrices.aux(track[j].bucket, assigned[j]) >= 2) {
                         matrices.decrement(track[j].bucket, assigned[j]);
                         ready.push_front(std::move(track[j]));
                         local_stats.deferred_blocks += 1;
                     } else {
-                        still_pending.push_back(j);
+                        pending[kept++] = j;
                     }
                 }
-                pending = std::move(still_pending);
+                pending.resize(kept);
                 matrices.compute_aux();
                 continue;
             }

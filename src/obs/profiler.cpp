@@ -5,6 +5,7 @@
 #include <csignal>
 #include <cstring>
 #include <sys/time.h>
+#include <ucontext.h>
 #include <unistd.h>
 
 #include <cxxabi.h>
@@ -207,16 +208,34 @@ std::uint64_t Profiler::dropped_samples() const {
     return impl_->dropped.load(std::memory_order_relaxed);
 }
 
-void Profiler::signal_handler(int) {
+namespace {
+
+/// The program counter the signal interrupted, or null where the machine
+/// context layout is not known.
+void* interrupted_pc(void* ucontext) {
+    const auto* uc = static_cast<const ucontext_t*>(ucontext);
+#if defined(__x86_64__)
+    return reinterpret_cast<void*>(uc->uc_mcontext.gregs[REG_RIP]);
+#elif defined(__aarch64__)
+    return reinterpret_cast<void*>(uc->uc_mcontext.pc);
+#else
+    (void)uc;
+    return nullptr;
+#endif
+}
+
+} // namespace
+
+void Profiler::signal_handler(int, siginfo_t*, void* ucontext) {
     // Async-signal-safe: one acquire load, then ring stores. Save errno —
     // the interrupted code may be between a syscall and its errno check.
     const int saved_errno = errno;
     Profiler* p = g_active_profiler.load(std::memory_order_acquire);
-    if (p != nullptr) p->sample_current_thread();
+    if (p != nullptr) p->sample_current_thread(interrupted_pc(ucontext));
     errno = saved_errno;
 }
 
-void Profiler::sample_current_thread() {
+void Profiler::sample_current_thread(void* pc) {
     Impl* im = impl_;
     Ring* ring = nullptr;
     if (tl_prof_claim.owner_id == im->id) {
@@ -236,8 +255,25 @@ void Profiler::sample_current_thread() {
         tl_prof_claim.ring = ring;
     }
 
-    void* frames[ProfileSample::kMaxFrames];
-    const int n = ::backtrace(frames, static_cast<int>(ProfileSample::kMaxFrames));
+    // The unwinder reports the interrupted frame at exactly `pc`; the
+    // frames above it (this function, the handler, libc's sigreturn
+    // trampoline) are the sampler itself and are cut here, so the leaf is
+    // the code that was running. A sanitizer runtime may run the handler
+    // later from its own stack, where `pc` is absent: the cut then falls
+    // just below the frame this function returns to.
+    void* raw[ProfileSample::kMaxFrames];
+    const int captured = ::backtrace(raw, static_cast<int>(ProfileSample::kMaxFrames));
+    void* const caller = __builtin_return_address(0);
+    int skip = 0;
+    for (int i = 0; i < captured; ++i) {
+        if (raw[i] == pc) {
+            skip = i;
+            break;
+        }
+        if (raw[i] == caller) skip = i + 1;
+    }
+    void* const* frames = raw + skip;
+    const int n = captured - skip;
     if (n <= 0) {
         im->dropped.fetch_add(1, std::memory_order_relaxed);
         return;
@@ -304,12 +340,14 @@ void Profiler::start() {
     (void)::backtrace(warm, 4);
 
     struct sigaction sa {};
-    sa.sa_handler = &Profiler::signal_handler;
+    sa.sa_sigaction = &Profiler::signal_handler;
     sigemptyset(&sa.sa_mask);
     // SA_RESTART: an interrupted read()/write() resumes instead of
     // surfacing EINTR into the disk layer's hot path (FileDisk also loops,
-    // but sampling should not change which path executes).
-    sa.sa_flags = SA_RESTART;
+    // but sampling should not change which path executes). SA_SIGINFO
+    // hands the handler the interrupted context, whose PC marks where the
+    // sampler's own frames end.
+    sa.sa_flags = SA_RESTART | SA_SIGINFO;
     if (sigaction(SIGPROF, &sa, &impl_->prev_sa) != 0) {
         g_active_profiler.store(nullptr, std::memory_order_release);
         throw std::runtime_error("Profiler: sigaction(SIGPROF) failed");

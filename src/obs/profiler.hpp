@@ -43,6 +43,7 @@
 // scheduler jobs can share the daemon's profiler. With BALSORT_NO_OBS the
 // entire class is a no-op stub and every call site compiles out.
 #include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -112,8 +113,8 @@ class Profiler {
     void record_sample_for_test(void* const* frames, std::uint32_t n_frames);
 
   private:
-    static void signal_handler(int);
-    void sample_current_thread();
+    static void signal_handler(int, siginfo_t*, void* ucontext);
+    void sample_current_thread(void* pc);
 
     struct Ring;
     struct Impl;

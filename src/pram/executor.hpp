@@ -3,7 +3,7 @@
 /// The task-parallel compute core: a work-stealing `Executor` of dedicated
 /// worker threads, a borrowed `Parallel` view that algorithms take in place
 /// of the old fork-join `ThreadPool`, and a `TaskGroup` for recursive
-/// fan-out (parallel multi-selection).
+/// fan-out.
 ///
 /// Design (DESIGN.md §15):
 ///  - Per-worker deques under small per-deque mutexes: owners pop LIFO
@@ -199,7 +199,7 @@ class Parallel {
     ComputeChannel* channel_ = nullptr;
 };
 
-/// Dynamic fan-out for recursive algorithms (parallel multi-selection):
+/// Dynamic fan-out for recursive algorithms:
 /// `run(fn)` either executes inline (no executor) or enqueues fn as a new
 /// task of this group; `wait()` blocks until every spawned task finished,
 /// helping with queued ones, and rethrows the first error. Single-use.

@@ -1,7 +1,9 @@
 #include "pram/parallel_sort.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <utility>
 
 #include "util/common.hpp"
 #include "util/math.hpp"
@@ -10,7 +12,7 @@ namespace balsort {
 
 namespace {
 
-/// Estimated comparison count of std::stable_sort on n elements.
+/// Charged comparisons of a comparison sort on n elements, about n·log2 n.
 std::uint64_t nlogn(std::uint64_t n) {
     return n == 0 ? 0 : n * std::max<std::uint64_t>(1, ilog2_ceil(n | 1));
 }
@@ -36,65 +38,166 @@ void binary_merge(std::span<const Record> a, std::span<const Record> b, std::spa
     }
 }
 
+namespace {
+
+/// Below this many records the radix kernel is one serial LSD sort:
+/// splitting and fanning out would cost more than they save.
+constexpr std::size_t kRadixSplitCutoff = 1 << 16;
+/// Widest digit of the radix kernel: 2^11 buckets.
+constexpr unsigned kRadixDigitBits = 11;
+/// The parallel split aims at buckets of about 2^12 records: large enough
+/// that a bucket's digit histograms cost little per record, small enough
+/// to stay in cache while its passes run.
+constexpr unsigned kSplitBucketBits = 12;
+/// Sets this small are insertion-sorted: a digit histogram would cost more
+/// than the records.
+constexpr std::size_t kInsertionCutoff = 32;
+
+/// OR of `key ^ first key`: the key bits that vary across `records`.
+std::uint64_t varying_bits(std::span<const Record> records) {
+    std::uint64_t varying = 0;
+    for (const Record& r : records) varying |= r.key ^ records[0].key;
+    return varying;
+}
+
+/// Serial stable LSD radix sort of `data` by key over its varying bits,
+/// with `tmp` (same size) as the other buffer. Digits are at most 11 bits,
+/// and no wider than the record count's bit width, so a histogram never
+/// outweighs its records; the passes split the varying span evenly, and a
+/// pass whose histogram puts every record in one bucket is skipped.
+/// Returns whichever of the two buffers holds the sorted records.
+std::span<Record> lsd_radix_sort(std::span<Record> data, std::span<Record> tmp,
+                                 std::vector<std::size_t>& count) {
+    const std::size_t n = data.size();
+    if (n <= kInsertionCutoff) {
+        for (std::size_t i = 1; i < n; ++i) {
+            const Record r = data[i];
+            std::size_t j = i;
+            for (; j > 0 && r.key < data[j - 1].key; --j) data[j] = data[j - 1];
+            data[j] = r;
+        }
+        return data;
+    }
+    const std::uint64_t varying = varying_bits(data);
+    if (varying == 0) return data;
+    const unsigned low = static_cast<unsigned>(std::countr_zero(varying));
+    const unsigned span_bits = 64 - static_cast<unsigned>(std::countl_zero(varying)) - low;
+    const unsigned max_bits =
+        std::min(kRadixDigitBits, static_cast<unsigned>(std::bit_width(n)));
+    const unsigned passes = (span_bits + max_bits - 1) / max_bits;
+    const unsigned bits = (span_bits + passes - 1) / passes;
+    const std::size_t buckets = std::size_t{1} << bits;
+    const std::uint64_t digit_mask = buckets - 1;
+    count.resize(buckets);
+    for (unsigned pass = 0; pass < passes; ++pass) {
+        const unsigned shift = low + pass * bits;
+        std::fill(count.begin(), count.end(), 0);
+        for (const Record& r : data) ++count[(r.key >> shift) & digit_mask];
+        std::size_t acc = 0;
+        bool one_bucket = false;
+        for (std::size_t& c : count) {
+            one_bucket = one_bucket || c == n;
+            acc += std::exchange(c, acc);
+        }
+        if (one_bucket) continue;
+        for (const Record& r : data) tmp[count[(r.key >> shift) & digit_mask]++] = r;
+        std::swap(data, tmp);
+    }
+    return data;
+}
+
+/// The radix kernel behind both internal sorts. Small inputs take the
+/// serial LSD sort. Larger ones first split on a top digit of the varying
+/// bits, sized for buckets of about 2^12 records: per-lane histograms laid
+/// out digit-major, lane-minor make that scatter stable. Each lane then
+/// LSD-sorts whole buckets, chosen by where their first record falls, so
+/// no two lanes write near each other. Every step is stable, so the output
+/// equals std::stable_sort's byte for byte.
+void radix_sort_kernel(std::span<Record> records, const Parallel& pool) {
+    const std::size_t n = records.size();
+    if (n <= 1) return;
+    std::vector<Record> scratch(n);
+    if (n < kRadixSplitCutoff) {
+        std::vector<std::size_t> count;
+        const std::span<Record> out = lsd_radix_sort(records, scratch, count);
+        if (out.data() != records.data()) std::copy(out.begin(), out.end(), records.begin());
+        return;
+    }
+
+    const std::size_t p = pool.size();
+    std::vector<std::uint64_t> lane_varying(p, 0);
+    pool.parallel_for(0, n, [&](std::size_t lo, std::size_t hi, std::size_t w) {
+        std::uint64_t v = 0;
+        for (std::size_t i = lo; i < hi; ++i) v |= records[i].key ^ records[0].key;
+        lane_varying[w] = v;
+    });
+    std::uint64_t varying = 0;
+    for (std::uint64_t v : lane_varying) varying |= v;
+    if (varying == 0) return; // all keys equal: already stably sorted
+
+    const unsigned top = 63 - static_cast<unsigned>(std::countl_zero(varying));
+    const unsigned low = static_cast<unsigned>(std::countr_zero(varying));
+    const unsigned bits =
+        std::min({kRadixDigitBits, top - low + 1,
+                  static_cast<unsigned>(std::bit_width(n)) - kSplitBucketBits});
+    const unsigned shift = top + 1 - bits;
+    const std::size_t buckets = std::size_t{1} << bits;
+    const std::uint64_t digit_mask = buckets - 1;
+
+    std::vector<std::size_t> hist(p * buckets); // hist[w * buckets + digit]
+    std::vector<std::pair<std::size_t, std::size_t>> ranges(p, {0, 0});
+    pool.parallel_for(0, n, [&](std::size_t lo, std::size_t hi, std::size_t w) {
+        ranges[w] = {lo, hi};
+        std::size_t* h = hist.data() + w * buckets;
+        for (std::size_t i = lo; i < hi; ++i) ++h[(records[i].key >> shift) & digit_mask];
+    });
+    std::vector<std::size_t> bucket_start(buckets + 1);
+    std::size_t acc = 0;
+    for (std::size_t d = 0; d < buckets; ++d) {
+        bucket_start[d] = acc;
+        for (std::size_t w = 0; w < p; ++w) acc += std::exchange(hist[w * buckets + d], acc);
+    }
+    bucket_start[buckets] = n;
+    pool.parallel_for(0, n, [&](std::size_t lo, std::size_t hi, std::size_t w) {
+        BS_MODEL_CHECK(ranges[w] == std::make_pair(lo, hi),
+                       "radix chunking changed between passes");
+        std::size_t* h = hist.data() + w * buckets;
+        for (std::size_t i = lo; i < hi; ++i) {
+            scratch[h[(records[i].key >> shift) & digit_mask]++] = records[i];
+        }
+    });
+    pool.parallel_for(0, p, [&](std::size_t lo, std::size_t hi, std::size_t) {
+        std::vector<std::size_t> count;
+        for (std::size_t w = lo; w < hi; ++w) {
+            for (std::size_t d = 0; d < buckets; ++d) {
+                const std::size_t b_lo = bucket_start[d], b_hi = bucket_start[d + 1];
+                if (b_lo == b_hi || b_lo * p / n != w) continue;
+                const std::span<Record> home = records.subspan(b_lo, b_hi - b_lo);
+                const std::span<Record> out = lsd_radix_sort(
+                    std::span<Record>(scratch).subspan(b_lo, b_hi - b_lo), home, count);
+                if (out.data() != home.data()) std::copy(out.begin(), out.end(), home.begin());
+            }
+        }
+    });
+}
+
+} // namespace
+
 void parallel_merge_sort(std::span<Record> records, const Parallel& pool, WorkMeter* meter,
                          PramCost* cost) {
     const std::size_t n = records.size();
     if (n <= 1) return;
-    const std::size_t p = std::min<std::size_t>(pool.size(), (n + 1) / 2);
+    radix_sort_kernel(records, pool);
 
-    // Phase 1: each processor stable-sorts its contiguous slice.
-    std::vector<std::pair<std::size_t, std::size_t>> run(p);
-    {
-        const std::size_t per = n / p, rem = n % p;
-        std::size_t off = 0;
-        for (std::size_t w = 0; w < p; ++w) {
-            std::size_t len = per + (w < rem ? 1 : 0);
-            run[w] = {off, off + len};
-            off += len;
-        }
-    }
-    pool.parallel_for(0, p, [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t w = lo; w < hi; ++w) {
-            std::stable_sort(records.begin() + static_cast<std::ptrdiff_t>(run[w].first),
-                             records.begin() + static_cast<std::ptrdiff_t>(run[w].second),
-                             KeyLess{});
-        }
-    });
-    if (meter != nullptr) meter->add_comparisons(nlogn(n / std::max<std::size_t>(p, 1)) * p);
+    // Charged as Cole's merge sort: each of p processors sorts its slice,
+    // then log p rounds of pairwise merges, each a parallel collective.
+    const std::size_t p = std::min<std::size_t>(pool.size(), (n + 1) / 2);
+    if (meter != nullptr) meter->add_comparisons(nlogn(n / p) * p);
     if (cost != nullptr) {
         cost->charge_parallel_work(nlogn(n));
         cost->charge_collective();
     }
-
-    // Phase 2: log p rounds of pairwise merges (the Cole cascade in shape;
-    // each round is a parallel collective).
-    std::vector<Record> scratch(n);
-    std::span<Record> src = records;
-    std::span<Record> dst(scratch);
-    std::size_t n_runs = p;
-    std::vector<std::pair<std::size_t, std::size_t>> next_run;
-    while (n_runs > 1) {
-        next_run.clear();
-        const std::size_t pairs = n_runs / 2;
-        pool.parallel_for(0, pairs, [&](std::size_t lo, std::size_t hi, std::size_t) {
-            for (std::size_t q = lo; q < hi; ++q) {
-                auto [a_lo, a_hi] = run[2 * q];
-                auto [b_lo, b_hi] = run[2 * q + 1];
-                BS_MODEL_CHECK(a_hi == b_lo, "merge runs not adjacent");
-                binary_merge(src.subspan(a_lo, a_hi - a_lo), src.subspan(b_lo, b_hi - b_lo),
-                             dst.subspan(a_lo, b_hi - a_lo), nullptr);
-            }
-        });
-        for (std::size_t q = 0; q < pairs; ++q) {
-            next_run.emplace_back(run[2 * q].first, run[2 * q + 1].second);
-        }
-        if (n_runs % 2 == 1) {
-            auto [c_lo, c_hi] = run[n_runs - 1];
-            std::copy(src.begin() + static_cast<std::ptrdiff_t>(c_lo),
-                      src.begin() + static_cast<std::ptrdiff_t>(c_hi),
-                      dst.begin() + static_cast<std::ptrdiff_t>(c_lo));
-            next_run.emplace_back(c_lo, c_hi);
-        }
+    for (std::size_t runs = p; runs > 1; runs = runs / 2 + runs % 2) {
         if (meter != nullptr) {
             meter->add_comparisons(n);
             meter->add_moves(n);
@@ -103,12 +206,6 @@ void parallel_merge_sort(std::span<Record> records, const Parallel& pool, WorkMe
             cost->charge_parallel_work(2 * n);
             cost->charge_collective();
         }
-        run = next_run;
-        n_runs = run.size();
-        std::swap(src, dst);
-    }
-    if (src.data() != records.data()) {
-        std::copy(src.begin(), src.end(), records.begin());
     }
 }
 
@@ -116,55 +213,16 @@ void parallel_radix_sort(std::span<Record> records, const Parallel& pool, WorkMe
                          PramCost* cost) {
     const std::size_t n = records.size();
     if (n <= 1) return;
-    constexpr unsigned kRadixBits = 11;
-    constexpr std::size_t kBuckets = std::size_t{1} << kRadixBits;
-    constexpr unsigned kPasses = (64 + kRadixBits - 1) / kRadixBits;
+    radix_sort_kernel(records, pool);
 
-    const std::size_t p = pool.size();
-    std::vector<Record> scratch(n);
-    std::span<Record> src = records;
-    std::span<Record> dst(scratch);
-    // Per-worker histograms: hist[w][digit].
-    std::vector<std::vector<std::uint64_t>> hist(p, std::vector<std::uint64_t>(kBuckets));
-    std::vector<std::pair<std::size_t, std::size_t>> ranges(p, {0, 0});
-
-    for (unsigned pass = 0; pass < kPasses; ++pass) {
-        const unsigned shift = pass * kRadixBits;
-        for (auto& h : hist) std::fill(h.begin(), h.end(), 0);
-        pool.parallel_for(0, n, [&](std::size_t lo, std::size_t hi, std::size_t w) {
-            ranges[w] = {lo, hi};
-            auto& h = hist[w];
-            for (std::size_t i = lo; i < hi; ++i) {
-                h[(src[i].key >> shift) & (kBuckets - 1)]++;
-            }
-        });
-        // Exclusive scan over (digit-major, worker-minor) layout so the
-        // scatter below is stable.
-        std::uint64_t acc = 0;
-        for (std::size_t d = 0; d < kBuckets; ++d) {
-            for (std::size_t w = 0; w < p; ++w) {
-                std::uint64_t c = hist[w][d];
-                hist[w][d] = acc;
-                acc += c;
-            }
-        }
-        pool.parallel_for(0, n, [&](std::size_t lo, std::size_t hi, std::size_t w) {
-            BS_MODEL_CHECK(ranges[w] == std::make_pair(lo, hi),
-                           "radix chunking changed between passes");
-            auto& h = hist[w];
-            for (std::size_t i = lo; i < hi; ++i) {
-                dst[h[(src[i].key >> shift) & (kBuckets - 1)]++] = src[i];
-            }
-        });
+    // Charged as a full-key LSD radix sort: radix 2^11, 6 counting passes.
+    constexpr unsigned kChargedPasses = 6;
+    for (unsigned pass = 0; pass < kChargedPasses; ++pass) {
         if (meter != nullptr) meter->add_moves(2 * n);
         if (cost != nullptr) {
             cost->charge_parallel_work(2 * n);
             cost->charge_collective();
         }
-        std::swap(src, dst);
-    }
-    if (src.data() != records.data()) {
-        std::copy(src.begin(), src.end(), records.begin());
     }
 }
 

@@ -3,12 +3,15 @@
 /// Internal (in-memory) sorting used at the recursion base and inside
 /// Balance, with work metering and PRAM cost accounting.
 ///
-/// Two engines, mirroring the paper's §5 toolbox:
-///  * `parallel_merge_sort` — Cole's EREW PRAM merge sort [Col] in
-///    structure: log(n/P) local phase + log P cascaded parallel merges,
-///    O(n log n) work, O((n/P) log n) charged PRAM time.
-///  * `parallel_radix_sort` — LSD radix sort playing the Rajasekaran–Reif
-///    [RaR] role: counting passes over digit chunks, O(n · ceil(64/r)) work.
+/// Two sorts, mirroring the paper's §5 toolbox. Each is charged as the
+/// paper's model says; both run the same physical kernel, a stable radix
+/// sort over the key bits that vary, which returns exactly what a stable
+/// comparison sort would:
+///  * `parallel_merge_sort` — charged as Cole's EREW PRAM merge sort [Col]:
+///    log(n/P) local phase + log P cascaded parallel merges, O(n log n)
+///    work, O((n/P) log n) charged PRAM time.
+///  * `parallel_radix_sort` — charged as an LSD radix sort playing the
+///    Rajasekaran–Reif [RaR] role: O(n · ceil(64/r)) work.
 /// Plus `multiway_merge`, used by the merge-sort baselines and Algorithm 2's
 /// "binary merge sort" of sample sets — serial loser-tree form, and a
 /// splitter-partitioned parallel form (Rahn/Sanders-style: each lane merges
@@ -25,11 +28,13 @@
 
 namespace balsort {
 
-/// Stable parallel merge sort by key. Charges `cost` and `meter` if given.
+/// Stable sort by key, charged to `meter` and `cost` (if given) as the
+/// Cole merge sort above; the physical kernel is the radix kernel.
 void parallel_merge_sort(std::span<Record> records, const Parallel& pool,
                          WorkMeter* meter = nullptr, PramCost* cost = nullptr);
 
-/// LSD radix sort by key (radix 2^11, 6 passes). Stable.
+/// Stable sort by key, charged as the full-key LSD radix sort above; the
+/// physical kernel is the same radix kernel as `parallel_merge_sort`'s.
 void parallel_radix_sort(std::span<Record> records, const Parallel& pool,
                          WorkMeter* meter = nullptr, PramCost* cost = nullptr);
 

@@ -1,6 +1,8 @@
 #include "pram/selection.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <memory>
 
 #include "util/common.hpp"
 #include "util/math.hpp"
@@ -76,32 +78,133 @@ std::uint64_t paper_median(std::span<const std::uint64_t> values, WorkMeter* met
 
 namespace {
 
-// Recursive rank splitting: select the middle rank with nth_element
-// (introselect), then recurse into the two sides with the remaining ranks.
-// Depth O(log k) with O(n) work per depth level => O(n log k) total.
-void multi_select_impl(std::span<Record> records, std::span<const std::uint64_t> ranks,
-                       std::uint64_t rank_offset, std::vector<std::uint64_t>& out,
-                       WorkMeter* meter) {
-    if (ranks.empty()) return;
-    const std::size_t mid = ranks.size() / 2;
-    const std::uint64_t local = ranks[mid] - rank_offset; // 1-based within records
-    BS_MODEL_CHECK(local >= 1 && local <= records.size(),
-                   "multi_select: rank out of subrange");
-    auto nth = records.begin() + static_cast<std::ptrdiff_t>(local - 1);
-    std::nth_element(records.begin(), nth, records.end(), KeyLess{});
-    if (meter != nullptr) {
-        meter->add_comparisons(2 * records.size());
-        meter->add_moves(records.size() / 2);
+/// Sets of at most this many keys are sorted and indexed directly.
+constexpr std::size_t kSelectSortCutoff = 96;
+/// Digit width of the radix multi-select: 2^11 buckets per level.
+constexpr unsigned kSelectDigitBits = 11;
+
+/// One pending subproblem of the radix multi-select: `n` keys at
+/// buffer `which`, offsets [lo, lo + n), holding the requested ranks
+/// [r_lo, r_hi) of the caller's list; `base` keys of the whole input rank
+/// below every key of the set.
+struct SelectTask {
+    unsigned which;
+    std::size_t lo, n;
+    std::size_t r_lo, r_hi;
+    std::uint64_t base;
+};
+
+/// The charge of the comparison-based rank-splitting recursion the model
+/// is stated in: each node selects its middle rank from `n` records at
+/// 2n comparisons and n/2 moves, then recurses on both sides. Node sizes
+/// depend only on (n, ranks), so the walk needs no keys.
+void charge_rank_splitting(std::uint64_t n, std::span<const std::uint64_t> ranks,
+                           std::uint64_t offset, std::uint64_t& comparisons,
+                           std::uint64_t& moves) {
+    while (!ranks.empty()) {
+        const std::size_t mid = ranks.size() / 2;
+        const std::uint64_t local = ranks[mid] - offset;
+        comparisons += 2 * n;
+        moves += n / 2;
+        charge_rank_splitting(local - 1, ranks.first(mid), offset, comparisons, moves);
+        n -= local;
+        offset += local;
+        ranks = ranks.subspan(mid + 1);
     }
-    multi_select_impl(records.first(local - 1), ranks.first(mid), rank_offset, out, meter);
-    out.push_back(nth->key);
-    multi_select_impl(records.subspan(local), ranks.subspan(mid + 1),
-                      rank_offset + local, out, meter);
+}
+
+/// Radix multi-select. Each subproblem histograms the top digit of its
+/// varying bits, maps every requested rank to its digit bucket, and
+/// gathers only the needed buckets into the other buffer, at offsets
+/// inside the range it occupies itself, so two n-key buffers serve every
+/// level. The first level reads the records in place. Order statistics
+/// are unique, so the keys equal any other selector's.
+std::vector<std::uint64_t> radix_multi_select(std::span<const Record> records,
+                                              std::span<const std::uint64_t> ranks) {
+    std::vector<std::uint64_t> out(ranks.size());
+    if (ranks.empty()) return out;
+    const std::size_t n = records.size();
+    std::unique_ptr<std::uint64_t[]> buf[2] = {std::make_unique_for_overwrite<std::uint64_t[]>(n),
+                                               std::make_unique_for_overwrite<std::uint64_t[]>(n)};
+    constexpr std::size_t kNotNeeded = ~std::size_t{0};
+    std::vector<std::size_t> table(std::size_t{1} << kSelectDigitBits);
+    std::vector<SelectTask> stack;
+
+    // Splits the set `t` whose i-th key is key(i) into the buckets its
+    // ranks land in, queueing one subproblem per bucket.
+    const auto split = [&](const SelectTask& t, auto key) {
+        const std::uint64_t first = key(0);
+        std::uint64_t varying = 0;
+        for (std::size_t i = 0; i < t.n; ++i) varying |= key(i) ^ first;
+        if (varying == 0) {
+            std::fill(out.begin() + static_cast<std::ptrdiff_t>(t.r_lo),
+                      out.begin() + static_cast<std::ptrdiff_t>(t.r_hi), first);
+            return;
+        }
+        const unsigned top = 63 - static_cast<unsigned>(std::countl_zero(varying));
+        const unsigned bits = std::min({kSelectDigitBits, top + 1,
+                                        static_cast<unsigned>(std::bit_width(t.n))});
+        const unsigned shift = top + 1 - bits;
+        const std::uint64_t digit_mask = (std::uint64_t{1} << bits) - 1;
+        const std::size_t buckets = std::size_t{1} << bits;
+
+        std::fill_n(table.begin(), buckets, 0);
+        for (std::size_t i = 0; i < t.n; ++i) ++table[(key(i) >> shift) & digit_mask];
+
+        // Walk the buckets in key order, turning each count into the
+        // bucket's offset in the other buffer if some rank lands in it, or
+        // kNotNeeded if none does.
+        const unsigned other = 1 - t.which;
+        std::size_t below = 0;    // keys in buckets before d
+        std::size_t gathered = 0; // keys of needed buckets before d
+        std::size_t r = t.r_lo;
+        for (std::size_t d = 0; d < buckets; ++d) {
+            const std::size_t count = table[d];
+            const std::size_t r_first = r;
+            while (r < t.r_hi && ranks[r] - t.base <= below + count) ++r;
+            if (r == r_first) {
+                table[d] = kNotNeeded;
+            } else {
+                table[d] = t.lo + gathered;
+                stack.push_back({other, t.lo + gathered, count, r_first, r, t.base + below});
+                gathered += count;
+            }
+            below += count;
+        }
+        std::uint64_t* dst = buf[other].get();
+        for (std::size_t i = 0; i < t.n; ++i) {
+            const std::uint64_t k = key(i);
+            std::size_t& slot = table[(k >> shift) & digit_mask];
+            if (slot != kNotNeeded) dst[slot++] = k;
+        }
+    };
+
+    if (n <= kSelectSortCutoff) {
+        for (std::size_t i = 0; i < n; ++i) buf[0][i] = records[i].key;
+        stack.push_back({0, 0, n, 0, ranks.size(), 0});
+    } else {
+        // The records stand in for buffer 1, so the first level's buckets
+        // land in buffer 0.
+        split(SelectTask{1, 0, n, 0, ranks.size(), 0},
+              [&records](std::size_t i) { return records[i].key; });
+    }
+    while (!stack.empty()) {
+        const SelectTask t = stack.back();
+        stack.pop_back();
+        std::uint64_t* keys = buf[t.which].get() + t.lo;
+        if (t.n <= kSelectSortCutoff) {
+            std::sort(keys, keys + t.n);
+            for (std::size_t r = t.r_lo; r < t.r_hi; ++r) out[r] = keys[ranks[r] - t.base - 1];
+            continue;
+        }
+        split(t, [keys](std::size_t i) { return keys[i]; });
+    }
+    return out;
 }
 
 } // namespace
 
-std::vector<std::uint64_t> multi_select_keys(std::span<Record> records,
+std::vector<std::uint64_t> multi_select_keys(std::span<const Record> records,
                                              std::span<const std::uint64_t> ranks,
                                              WorkMeter* meter) {
     for (std::size_t i = 0; i < ranks.size(); ++i) {
@@ -110,85 +213,19 @@ std::vector<std::uint64_t> multi_select_keys(std::span<Record> records,
         BS_REQUIRE(i == 0 || ranks[i] > ranks[i - 1],
                    "multi_select_keys: ranks must be strictly increasing");
     }
-    std::vector<std::uint64_t> out;
-    out.reserve(ranks.size());
-    multi_select_impl(records, ranks, 0, out, meter);
-    return out;
-}
-
-namespace {
-
-/// Below this many records a subproblem runs inline: a task's queue/steal
-/// overhead would exceed the nth_element it wraps.
-constexpr std::size_t kParallelSelectCutoff = 4096;
-
-// Same recursion tree as multi_select_impl, but the left subproblem forks
-// onto the group when large enough and each selected key lands at its
-// rank's own output slot (out[out_base + mid]) instead of being appended
-// in order — so the concatenated result is independent of schedule. The
-// subspans of sibling tasks are disjoint, making concurrent nth_element
-// calls safe.
-void multi_select_parallel(std::span<Record> records, std::span<const std::uint64_t> ranks,
-                           std::uint64_t rank_offset, std::size_t out_base,
-                           std::span<std::uint64_t> out, TaskGroup& group, WorkMeter* meter) {
-    while (!ranks.empty()) {
-        const std::size_t mid = ranks.size() / 2;
-        const std::uint64_t local = ranks[mid] - rank_offset; // 1-based within records
-        BS_MODEL_CHECK(local >= 1 && local <= records.size(),
-                       "multi_select: rank out of subrange");
-        auto nth = records.begin() + static_cast<std::ptrdiff_t>(local - 1);
-        std::nth_element(records.begin(), nth, records.end(), KeyLess{});
-        if (meter != nullptr) {
-            meter->add_comparisons(2 * records.size());
-            meter->add_moves(records.size() / 2);
-        }
-        out[out_base + mid] = nth->key;
-        const std::span<Record> left_records = records.first(local - 1);
-        const std::span<const std::uint64_t> left_ranks = ranks.first(mid);
-        if (!left_ranks.empty()) {
-            if (left_records.size() >= kParallelSelectCutoff) {
-                group.run([left_records, left_ranks, rank_offset, out_base, out, &group, meter] {
-                    multi_select_parallel(left_records, left_ranks, rank_offset, out_base, out,
-                                          group, meter);
-                });
-            } else {
-                multi_select_parallel(left_records, left_ranks, rank_offset, out_base, out,
-                                      group, meter);
-            }
-        }
-        records = records.subspan(local); // tail-recurse into the right side
-        rank_offset += local;
-        ranks = ranks.subspan(mid + 1);
-        out_base += mid + 1;
+    if (meter != nullptr) {
+        std::uint64_t comparisons = 0, moves = 0;
+        charge_rank_splitting(records.size(), ranks, 0, comparisons, moves);
+        meter->add_comparisons(comparisons);
+        meter->add_moves(moves);
     }
+    return radix_multi_select(records, ranks);
 }
 
-} // namespace
-
-std::vector<std::uint64_t> multi_select_keys(std::span<Record> records,
+std::vector<std::uint64_t> multi_select_keys(std::span<const Record> records,
                                              std::span<const std::uint64_t> ranks,
-                                             const Parallel& pool, WorkMeter* meter) {
-    for (std::size_t i = 0; i < ranks.size(); ++i) {
-        BS_REQUIRE(ranks[i] >= 1 && ranks[i] <= records.size(),
-                   "multi_select_keys: rank out of range");
-        BS_REQUIRE(i == 0 || ranks[i] > ranks[i - 1],
-                   "multi_select_keys: ranks must be strictly increasing");
-    }
-    std::vector<std::uint64_t> out(ranks.size());
-    if (ranks.empty()) return out;
-    TaskGroup group(pool.size() > 1 ? pool.executor() : nullptr, pool.channel());
-    try {
-        multi_select_parallel(records, ranks, 0, 0, out, group, meter);
-    } catch (...) {
-        // In-flight tasks still reference the group: drain before unwinding.
-        try {
-            group.wait();
-        } catch (...) { // NOLINT(bugprone-empty-catch): inline error wins
-        }
-        throw;
-    }
-    group.wait();
-    return out;
+                                             const Parallel& /*pool*/, WorkMeter* meter) {
+    return multi_select_keys(records, ranks, meter);
 }
 
 } // namespace balsort

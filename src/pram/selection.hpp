@@ -27,23 +27,25 @@ std::uint64_t select_kth(std::span<const std::uint64_t> values, std::size_t k,
 std::uint64_t paper_median(std::span<const std::uint64_t> values, WorkMeter* meter = nullptr);
 
 /// Deterministic multi-selection: the record keys at the given 1-based
-/// ranks (sorted ascending, in [1, records.size()]) in key order.
-/// Permutes `records`. O(n log k) comparisons — this is what keeps the
-/// pivot pass within Theorem 1's O((N/P) log N) total work budget: each
-/// memoryload is *selected at 8S ranks*, not fully sorted, so a level
-/// costs O(N log S) instead of O(N log M).
-std::vector<std::uint64_t> multi_select_keys(std::span<Record> records,
+/// ranks (sorted ascending, in [1, records.size()]) in key order. Leaves
+/// `records` untouched.
+///
+/// The charge is the paper's model: a rank-splitting selection recursion
+/// at 2n comparisons and n/2 moves per node, O(n log k) in all — what
+/// keeps the pivot pass within Theorem 1's O((N/P) log N) work budget,
+/// since each memoryload is *selected at 8S ranks*, not fully sorted. The
+/// node sizes depend only on (n, ranks), so the charge is computed from
+/// them. The physical kernel is a radix multi-select over the key bits
+/// that vary: it histograms an 11-bit digit, keeps only the buckets a rank
+/// lands in, and recurses on those. Order statistics are unique, so it
+/// returns the same keys as any comparison-based selector.
+std::vector<std::uint64_t> multi_select_keys(std::span<const Record> records,
                                              std::span<const std::uint64_t> ranks,
                                              WorkMeter* meter = nullptr);
 
-/// Task-parallel multi-selection: the rank-splitting recursion forks its
-/// left subproblem onto `pool`'s executor (TaskGroup fan-out) while the
-/// right side continues inline. The recursion tree — and therefore every
-/// metered charge — is identical to the serial form regardless of
-/// schedule; results land at their rank's index, so the output is
-/// byte-identical too. Falls back to inline execution when `pool` has no
-/// executor or a width of 1.
-std::vector<std::uint64_t> multi_select_keys(std::span<Record> records,
+/// The same selection for callers that hold a compute view: same keys,
+/// same charge. The kernel runs on the calling thread; `pool` is unused.
+std::vector<std::uint64_t> multi_select_keys(std::span<const Record> records,
                                              std::span<const std::uint64_t> ranks,
                                              const Parallel& pool, WorkMeter* meter = nullptr);
 

@@ -765,13 +765,16 @@ TEST(ProfilerTest, LiveSamplingCapturesRealStacks) {
     EXPECT_GE(p.sample_count(), 5u);
     const std::string folded = p.folded_string();
     EXPECT_FALSE(folded.empty());
-    // Every line is "stack count" with a positive trailing count.
+    // Every line is "stack count" with a positive trailing count, and no
+    // stack carries the sampler's own frames.
     std::istringstream lines(folded);
     std::string line;
     while (std::getline(lines, line)) {
         const auto space = line.find_last_of(' ');
         ASSERT_NE(space, std::string::npos) << line;
         EXPECT_GT(std::stoull(line.substr(space + 1)), 0u) << line;
+        EXPECT_FALSE(contains(line, "signal_handler")) << line;
+        EXPECT_FALSE(contains(line, "sample_current_thread")) << line;
     }
 }
 
@@ -793,6 +796,27 @@ TEST(ProfilerTest, EmitToTracerLandsSamplesOnProfileLanes) {
     EXPECT_TRUE(contains(trace, "\"cat\":\"profile\""));
     EXPECT_TRUE(contains(trace, "profile ")); // per-thread lane metadata
     EXPECT_TRUE(contains(trace, "balsort_prof_frame_leaf")); // leaf-named instants
+
+    // Live samples: each lane event is named by the interrupted code's
+    // leaf, never by the sampler's own frames.
+    ProfilerConfig live_cfg;
+    live_cfg.hz = 997;
+    Profiler live(live_cfg);
+    live.start();
+    volatile std::uint64_t sink = 0;
+    for (std::uint64_t i = 0; i < 2'000'000'000ull && live.sample_count() < 5; ++i) {
+        sink = sink + i;
+    }
+    live.stop();
+    Tracer live_tracer;
+    EXPECT_GE(live.emit_to_tracer(&live_tracer), 5u);
+    std::ostringstream live_os;
+    live_tracer.write_chrome_trace(live_os);
+    const std::string live_trace = live_os.str();
+    ASSERT_TRUE(JsonChecker(live_trace).valid());
+    EXPECT_TRUE(contains(live_trace, "\"cat\":\"profile\""));
+    EXPECT_FALSE(contains(live_trace, "signal_handler")) << live_trace;
+    EXPECT_FALSE(contains(live_trace, "sample_current_thread")) << live_trace;
 }
 
 } // namespace

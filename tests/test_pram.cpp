@@ -4,9 +4,12 @@
 // are covered by tests/test_executor.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <random>
 #include <set>
+#include <string>
 
 #include "pram/executor.hpp"
 #include "pram/monotone_route.hpp"
@@ -376,6 +379,207 @@ TEST(ParallelSort, BucketOf) {
     auto idx = bucket_of(recs, pivots);
     // upper_bound semantics: key < 5 -> 0, 5 <= key < 15 -> 1, >= 15 -> 2.
     EXPECT_EQ(idx, (std::vector<std::uint32_t>{0, 1, 1, 2, 2}));
+}
+
+// ---- Kernel equivalence: the radix kernels against sort-and-index and
+// std::stable_sort references, and the model charges pinned to fixed
+// numbers so a physical kernel change cannot move them. The pinned
+// numbers were recorded from the comparison kernels the radix kernels
+// replaced (nth_element selection, stable_sort + merge cascade, full-key
+// radix). ----
+
+std::vector<std::uint64_t> reference_select(std::span<const Record> records,
+                                            std::span<const std::uint64_t> ranks) {
+    std::vector<std::uint64_t> keys;
+    keys.reserve(records.size());
+    for (const Record& r : records) keys.push_back(r.key);
+    std::sort(keys.begin(), keys.end());
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t r : ranks) out.push_back(keys[r - 1]);
+    return out;
+}
+
+/// Centered stride ranks, as the pivot pass requests them, plus 1 and n.
+std::vector<std::uint64_t> probe_ranks(std::size_t n, std::size_t stride) {
+    std::set<std::uint64_t> s = {1, n};
+    for (std::uint64_t r = (stride + 1) / 2; r <= n; r += stride) s.insert(r);
+    return {s.begin(), s.end()};
+}
+
+void expect_select_matches(std::span<const Record> records, std::span<const std::uint64_t> ranks,
+                           const std::string& what) {
+    const auto expected = reference_select(records, ranks);
+    EXPECT_EQ(multi_select_keys(records, ranks), expected) << what;
+    Executor exec(3);
+    EXPECT_EQ(multi_select_keys(records, ranks, Parallel(4, &exec)), expected) << what;
+}
+
+std::vector<Record> from_keys(const std::vector<std::uint64_t>& keys) {
+    std::vector<Record> recs(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) recs[i] = {keys[i], i};
+    return recs;
+}
+
+TEST(SelectionKernel, MatchesSortAndIndexOnEveryWorkload) {
+    for (Workload w : all_workloads()) {
+        for (std::size_t n : {std::size_t{3000}, std::size_t{70000}}) {
+            const auto recs = generate(w, n, 17);
+            expect_select_matches(recs, probe_ranks(n, 997), to_string(w) + " n=" + std::to_string(n));
+        }
+    }
+}
+
+TEST(SelectionKernel, MatchesSortAndIndexOnHandMadeKeySets) {
+    Xoshiro256 rng(2024);
+    const std::size_t n = 5000;
+    std::vector<std::uint64_t> keys(n);
+
+    std::fill(keys.begin(), keys.end(), 0xABCDEF0123456789ull);
+    expect_select_matches(from_keys(keys), probe_ranks(n, 101), "all equal");
+
+    for (auto& k : keys) k = rng.below(2) == 0 ? 5 : 0xFFFF'FFFF'FFFF'FFF0ull;
+    expect_select_matches(from_keys(keys), probe_ranks(n, 101), "two values");
+
+    for (auto& k : keys) k = (rng.below(2) << 63) | 0x1234;
+    expect_select_matches(from_keys(keys), probe_ranks(n, 101), "bit 63 only");
+
+    for (auto& k : keys) k = 0x7777'0000'0000'0000ull | rng.below(2);
+    expect_select_matches(from_keys(keys), probe_ranks(n, 101), "bit 0 only");
+
+    // 2^11 + 1 distinct keys that share the top digit of the varying bits
+    // (one far-away key sets the highest varying bit to 63).
+    std::vector<std::uint64_t> deep;
+    for (std::uint64_t i = 0; i <= 2048; ++i) deep.push_back(i * 3 + 1);
+    deep.push_back(~std::uint64_t{0});
+    std::shuffle(deep.begin(), deep.end(), std::mt19937_64(5));
+    std::vector<std::uint64_t> all_ranks(deep.size());
+    std::iota(all_ranks.begin(), all_ranks.end(), 1);
+    expect_select_matches(from_keys(deep), all_ranks, "deep digit");
+}
+
+TEST(SelectionKernel, MatchesSortAndIndexAcrossSizes) {
+    Xoshiro256 rng(99);
+    for (std::size_t n : {1u, 2u, 95u, 96u, 97u, 4095u, 4097u, 65535u, 65537u}) {
+        std::vector<std::uint64_t> keys(n);
+        for (auto& k : keys) k = rng();
+        std::vector<std::uint64_t> ranks;
+        if (n <= 97) {
+            ranks.resize(n);
+            std::iota(ranks.begin(), ranks.end(), 1);
+        } else {
+            ranks = probe_ranks(n, 255);
+        }
+        expect_select_matches(from_keys(keys), ranks, "n=" + std::to_string(n));
+        for (auto& k : keys) k = rng.below(40); // and with heavy duplicates
+        expect_select_matches(from_keys(keys), ranks, "dup n=" + std::to_string(n));
+    }
+}
+
+/// Payload = input index, so equal keys witness stability.
+std::vector<Record> indexed(std::vector<Record> recs) {
+    for (std::size_t i = 0; i < recs.size(); ++i) recs[i].payload = i;
+    return recs;
+}
+
+void expect_sorts_stably(const std::vector<Record>& in, const std::string& what) {
+    std::vector<Record> expected = in;
+    std::stable_sort(expected.begin(), expected.end(), KeyLess{});
+    Executor exec(3);
+    for (std::size_t width : {1u, 2u, 4u}) {
+        const Parallel pool(width, &exec);
+        std::vector<Record> merge = in, radix = in;
+        parallel_merge_sort(merge, pool);
+        parallel_radix_sort(radix, pool);
+        EXPECT_TRUE(merge == expected) << what << " merge width=" << width;
+        EXPECT_TRUE(radix == expected) << what << " radix width=" << width;
+    }
+}
+
+TEST(SortKernel, ByteIdenticalToStableSortOnEveryWorkload) {
+    for (Workload w : all_workloads()) {
+        for (std::size_t n : {0u, 1u, 2u, 3u, 1000u, 70000u}) {
+            expect_sorts_stably(indexed(generate(w, n, 41)),
+                                to_string(w) + " n=" + std::to_string(n));
+        }
+    }
+}
+
+TEST(SortKernel, ByteIdenticalToStableSortOnHandMadeKeySets) {
+    Xoshiro256 rng(8);
+    for (std::size_t n : {500u, 20000u, 70000u}) {
+        std::vector<Record> recs(n);
+        for (auto& r : recs) r.key = (rng.below(2) << 63) | 0x55;
+        expect_sorts_stably(indexed(recs), "bit 63 only");
+        for (auto& r : recs) r.key = 0x4000'0000'0000'0000ull | rng.below(2);
+        expect_sorts_stably(indexed(recs), "bit 0 only");
+        const std::uint64_t base = rng();
+        for (auto& r : recs) r.key = base + rng.below(1u << 20);
+        expect_sorts_stably(indexed(recs), "narrow range");
+        for (auto& r : recs) r.key = rng.below(3) << 40;
+        expect_sorts_stably(indexed(recs), "three values, one varying digit");
+    }
+}
+
+struct Charges {
+    std::uint64_t comparisons = 0;
+    std::uint64_t moves = 0;
+    std::uint64_t steps = 0;
+};
+
+TEST(KernelCharges, MultiSelectChargesArePinned) {
+    auto uniform = generate(Workload::kUniform, 50000, 3);
+    auto dups = generate(Workload::kDuplicateHeavy, 50000, 3);
+    const auto ranks = probe_ranks(50000, 1250);
+    Executor exec(3);
+    for (std::size_t width : {1u, 4u}) {
+        WorkMeter a, b;
+        multi_select_keys(uniform, ranks, Parallel(width, &exec), &a);
+        multi_select_keys(dups, ranks, Parallel(width, &exec), &b);
+        EXPECT_EQ(a.comparisons(), 551176u) << "width=" << width;
+        EXPECT_EQ(a.moves(), 137776u) << "width=" << width;
+        EXPECT_EQ(b.comparisons(), 551176u) << "width=" << width;
+        EXPECT_EQ(b.moves(), 137776u) << "width=" << width;
+    }
+    WorkMeter serial;
+    multi_select_keys(uniform, ranks, &serial);
+    EXPECT_EQ(serial.comparisons(), 551176u);
+    EXPECT_EQ(serial.moves(), 137776u);
+}
+
+Charges sort_charges(bool radix, std::size_t width) {
+    auto recs = generate(Workload::kZipf, 30011, 5);
+    Executor exec(3);
+    const Parallel pool(width, &exec);
+    WorkMeter meter;
+    PramCost cost(width);
+    if (radix) {
+        parallel_radix_sort(recs, pool, &meter, &cost);
+    } else {
+        parallel_merge_sort(recs, pool, &meter, &cost);
+    }
+    return {meter.comparisons(), meter.moves(), cost.steps()};
+}
+
+TEST(KernelCharges, MergeSortChargesArePinned) {
+    const Charges w1 = sort_charges(false, 1);
+    EXPECT_EQ(w1.comparisons, 450165u);
+    EXPECT_EQ(w1.moves, 0u);
+    EXPECT_EQ(w1.steps, 450166u);
+    const Charges w4 = sort_charges(false, 4);
+    EXPECT_EQ(w4.comparisons, 450126u);
+    EXPECT_EQ(w4.moves, 60022u);
+    EXPECT_EQ(w4.steps, 142560u);
+}
+
+TEST(KernelCharges, RadixSortChargesArePinned) {
+    const Charges w1 = sort_charges(true, 1);
+    EXPECT_EQ(w1.comparisons, 0u);
+    EXPECT_EQ(w1.moves, 360132u);
+    EXPECT_EQ(w1.steps, 360138u);
+    const Charges w4 = sort_charges(true, 4);
+    EXPECT_EQ(w4.comparisons, 0u);
+    EXPECT_EQ(w4.moves, 360132u);
+    EXPECT_EQ(w4.steps, 90048u);
 }
 
 TEST(PramCost, ChargesMatchModel) {
