@@ -3,6 +3,8 @@
 // policies, matching strategies, aux rules, and record conservation.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/balance.hpp"
 #include "util/workload.hpp"
 
@@ -214,6 +216,139 @@ TEST(Balance, MemorySmallerThanVBlockRejected) {
     auto recs = generate(Workload::kUniform, 100, 47);
     EXPECT_THROW(run_balance(recs, 8, 1, 8, 32, 2, BalanceOptions{}),
                  std::invalid_argument); // vblock = 64 > m = 32
+}
+
+
+// ---------------------------------------------------------------------------
+// balance_pass goldens: everything a pass produces — every bucket's VRun
+// entries (virtual block ops and valid counts), key range, sketch pivots
+// and records, the BalanceTimeline JSON, the stats and the step-observer
+// sequence — folded into one FNV-1a digest per configuration. Captured
+// from the push_back scatter, so the counting-sort partition must
+// reproduce it byte for byte.
+// ---------------------------------------------------------------------------
+
+struct PassCase {
+    const char* name;
+    Workload w;
+    std::size_t n;
+    std::uint32_t d, dv, b;
+    std::uint64_t m;
+    std::uint32_t s;
+    BalanceOptions opt;
+    std::uint32_t sketch_s = 0;
+    std::size_t lanes = 2; ///< > 2 runs on an Executor with lanes-1 workers
+};
+
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+
+std::uint64_t fnv(std::uint64_t h, std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+        h ^= (x >> (8 * i)) & 0xff;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+struct PassDigest {
+    std::uint64_t digest = kFnvOffset;
+    BalanceStats stats;
+};
+
+PassDigest balance_pass_digest(const PassCase& c) {
+    auto recs = generate(c.w, c.n, 77);
+    DiskArray disks(c.d, c.b);
+    VirtualDisks vd(disks, c.dv);
+    std::unique_ptr<Executor> exec;
+    if (c.lanes > 2) exec = std::make_unique<Executor>(c.lanes - 1);
+    Parallel pool(c.lanes, exec.get());
+    VectorSource pivot_src(recs);
+    const PivotSet pivots = compute_pivots_sampling(pivot_src, recs.size(), c.m, c.s, pool);
+    std::uint64_t step_hash = kFnvOffset;
+    disks.set_step_observer([&step_hash](bool is_read, std::span<const BlockOp> ops) {
+        step_hash = fnv(step_hash, is_read ? 1 : 2);
+        step_hash = fnv(step_hash, ops.size());
+        for (const auto& op : ops) {
+            step_hash = fnv(fnv(step_hash, op.disk), op.block);
+        }
+    });
+    BalanceTimeline timeline;
+    BalanceOptions opt = c.opt;
+    opt.check_invariants = true;
+    opt.timeline = &timeline;
+    VectorSource src(recs);
+    PassDigest out;
+    auto buckets = balance_pass(src, pivots, vd, c.m, opt, pool, nullptr, nullptr, &out.stats,
+                                c.sketch_s);
+    std::uint64_t h = fnv(kFnvOffset, step_hash);
+    for (const char ch : timeline.to_json()) h = fnv(h, static_cast<unsigned char>(ch));
+    const BalanceStats& st = out.stats;
+    for (std::uint64_t x : {st.tracks, st.direct_blocks, st.matched_blocks, st.deferred_blocks,
+                            st.rearrange_rounds, st.max_rounds_per_track, st.match_draws}) {
+        h = fnv(h, x);
+    }
+    h = fnv(fnv(h, st.invariant1_held), st.invariant2_held);
+    for (const BucketOutput& bo : buckets) {
+        h = fnv(fnv(fnv(h, bo.is_equal_class), bo.min_key), bo.max_key);
+        h = fnv(fnv(h, bo.run.n_records), bo.run.entries.size());
+        for (const VRun::Entry& e : bo.run.entries) {
+            h = fnv(fnv(h, e.vblock.vdisk), e.count);
+            for (const BlockOp& op : e.vblock.ops) h = fnv(fnv(h, op.disk), op.block);
+        }
+        h = fnv(h, bo.has_sketch_pivots);
+        for (std::uint64_t k : bo.sketch_pivots.keys) h = fnv(h, k);
+    }
+    disks.set_step_observer(nullptr);
+    for (const BucketOutput& bo : buckets) {
+        std::vector<Record> back(bo.run.n_records);
+        VRunSource reader(vd, bo.run);
+        EXPECT_EQ(reader.read(back), bo.run.n_records) << c.name;
+        for (const Record& r : back) h = fnv(fnv(h, r.key), r.payload);
+    }
+    out.digest = h;
+    return out;
+}
+
+BalanceOptions with_policies(AssignPolicy assign, DeferPolicy defer) {
+    BalanceOptions opt;
+    opt.assign = assign;
+    opt.defer = defer;
+    return opt;
+}
+
+TEST(BalancePassGolden, MatchesCapturedDigests) {
+    const BalanceOptions base;
+    const std::vector<std::pair<PassCase, std::uint64_t>> cases = {
+        // V = 16, memoryloads of 500 records end mid-block.
+        {{"uniform_cyclic", Workload::kUniform, 6000, 8, 4, 4, 500, 4, base}, 14051591178040602131ull},
+        {{"single_vdisk", Workload::kUniform, 3000, 4, 1, 4, 250, 4, base}, 14142689430473587087ull},
+        {{"least_loaded", Workload::kGaussian, 6000, 8, 4, 4, 500, 4,
+          with_policies(AssignPolicy::kLeastLoaded, DeferPolicy::kPaperDefer)},
+         11376546159916163382ull},
+        {{"min_cost", Workload::kZipf, 6000, 8, 4, 4, 500, 4,
+          with_policies(AssignPolicy::kMinCostMatching, DeferPolicy::kPaperDefer)},
+         10776699739477584785ull},
+        {{"rebalance_all", Workload::kZipf, 6000, 8, 4, 4, 500, 4,
+          with_policies(AssignPolicy::kCyclic, DeferPolicy::kRebalanceAll)},
+         12043714879431218096ull},
+        {{"sketch", Workload::kUniform, 6000, 8, 4, 4, 500, 4, base, 4}, 17502863200748761036ull},
+        {{"dup_heavy", Workload::kDuplicateHeavy, 6000, 8, 4, 4, 500, 8, base}, 1593799825706039896ull},
+        // V = 4 on 8 virtual disks and 10 blocks per memoryload: deferred
+        // blocks are still queued when the next memoryload arrives.
+        {{"deferred_across_loads", Workload::kGaussian, 6000, 8, 8, 4, 42, 8, base}, 10475371062986846557ull},
+        // Memoryloads above the 2^16-record cutoff run on four lanes.
+        {{"lanes_uniform", Workload::kUniform, 300000, 8, 4, 16, 131112, 8, base, 4, 4}, 4229891720932704404ull},
+        {{"lanes_dup_heavy", Workload::kDuplicateHeavy, 300000, 8, 4, 16, 131112, 8, base, 0,
+          4},
+         13017244265229696080ull},
+    };
+    for (const auto& [c, want] : cases) {
+        const PassDigest got = balance_pass_digest(c);
+        EXPECT_EQ(got.digest, want) << c.name;
+        EXPECT_TRUE(got.stats.invariant2_held) << c.name;
+    }
+    // The deferral case really defers.
+    EXPECT_GT(balance_pass_digest(cases[7].first).stats.deferred_blocks, 0u);
 }
 
 } // namespace
