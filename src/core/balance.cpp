@@ -1,7 +1,6 @@
 #include "core/balance.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <fstream>
 #include <memory>
 #include <ostream>
@@ -41,10 +40,202 @@ void BalanceStats::merge(const BalanceStats& o) {
 
 namespace {
 
-/// A bucket-homogeneous virtual block waiting to be placed.
+constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+/// A bucket-homogeneous virtual block waiting to be placed, as a view: its
+/// first `head` records sit in side-store slot `slot` (the partial block
+/// carried over from earlier memoryloads, or the whole block once
+/// spilled), the other `count - head` in the partition buffer from
+/// `offset`.
 struct PendingBlock {
     std::uint32_t bucket = 0;
-    std::vector<Record> data; // size <= V; remainder of a final block is pad
+    std::uint32_t count = 0; // <= V; the rest of a final block is pad
+    std::uint32_t head = 0;
+    std::uint32_t slot = kNoSlot;
+    std::size_t offset = 0;
+};
+
+/// The ready queue: FIFO, plus deferred blocks going back to the front. A
+/// deferred block was popped by the same track, so the front always has
+/// room for it; one vector serves the whole pass.
+class BlockQueue {
+public:
+    std::size_t size() const { return q_.size() - head_; }
+    bool empty() const { return head_ == q_.size(); }
+    PendingBlock pop_front() { return q_[head_++]; }
+    void push_front(const PendingBlock& b) {
+        BS_MODEL_CHECK(head_ > 0, "balance_pass: deferred a block the track never took");
+        q_[--head_] = b;
+    }
+    void push_back(const PendingBlock& b) { q_.push_back(b); }
+    /// Forget the consumed prefix (called once per memoryload).
+    void compact() {
+        q_.erase(q_.begin(), q_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+    }
+    std::span<PendingBlock> queued() { return std::span<PendingBlock>(q_).subspan(head_); }
+
+private:
+    std::vector<PendingBlock> q_;
+    std::size_t head_ = 0;
+};
+
+/// V-record slots for the records that must outlive a memoryload's
+/// partition buffer: each bucket's partial block, carried into the next
+/// memoryload, and blocks still queued when the next memoryload is
+/// partitioned.
+class SlotStore {
+public:
+    explicit SlotStore(std::uint32_t v) : v_(v) {}
+    std::uint32_t acquire() {
+        if (!free_.empty()) {
+            const std::uint32_t s = free_.back();
+            free_.pop_back();
+            return s;
+        }
+        data_.resize(data_.size() + v_);
+        return static_cast<std::uint32_t>(data_.size() / v_ - 1);
+    }
+    void release(std::uint32_t s) { free_.push_back(s); }
+    Record* slot(std::uint32_t s) { return data_.data() + static_cast<std::size_t>(s) * v_; }
+
+private:
+    std::uint32_t v_;
+    RecordBuffer data_;
+    std::vector<std::uint32_t> free_;
+};
+
+/// Algorithm 3 line (1) for one memoryload: a stable counting-sort
+/// partition of the chunk by bucket into one bucket-contiguous buffer.
+/// Classification (with per-bucket counts and key ranges) and then the
+/// scatter each run over the lanes when the load has at least
+/// kParallelCutoff records, serially below; per-lane histograms laid out
+/// bucket-major, lane-minor keep the scatter stable, so every bucket's
+/// slice is in chunk order. The scatter also notes, in chunk order, the
+/// bucket of every record that completes a virtual block — given the
+/// records each bucket carried in — which is exactly the order in which a
+/// record-at-a-time fill would complete the blocks.
+class LoadPartition {
+public:
+    LoadPartition(std::uint32_t s_eff, std::uint32_t v) : start(s_eff + 1), s_(s_eff), v_(v) {}
+
+    void run(std::span<const Record> chunk, const PivotSet& pivots,
+             std::span<const std::uint32_t> carry, Record* part, const Parallel& pool) {
+        const std::size_t n = chunk.size();
+        const std::size_t n_lanes =
+            n >= kParallelCutoff ? std::min<std::size_t>(pool.size(), n) : 1;
+        const auto each_lane = [&](auto&& body) {
+            if (n_lanes == 1) {
+                body(std::size_t{0});
+                return;
+            }
+            pool.parallel_for(0, n_lanes, [&](std::size_t lo, std::size_t hi, std::size_t) {
+                for (std::size_t w = lo; w < hi; ++w) body(w);
+            });
+        };
+        if (lanes_.size() < n_lanes) lanes_.resize(n_lanes);
+        cls_.resize(n);
+        for (std::size_t w = 0; w < n_lanes; ++w) {
+            Lane& ln = lanes_[w];
+            ln.lo = w * n / n_lanes;
+            ln.hi = (w + 1) * n / n_lanes;
+            ln.count.assign(s_, 0);
+            ln.min_key.assign(s_, ~std::uint64_t{0});
+            ln.max_key.assign(s_, 0);
+            ln.pos.resize(s_);
+            ln.next_end.resize(s_);
+        }
+
+        each_lane([&](std::size_t w) {
+            Lane& ln = lanes_[w];
+            constexpr std::size_t kTile = 512; // classify a tile, then count it from cache
+            for (std::size_t t = ln.lo; t < ln.hi; t += kTile) {
+                const std::size_t te = std::min(t + kTile, ln.hi);
+                pivots.classify(chunk.subspan(t, te - t), cls_.data() + t);
+                for (std::size_t i = t; i < te; ++i) {
+                    const std::uint32_t b = cls_[i];
+                    const std::uint64_t key = chunk[i].key;
+                    ++ln.count[b];
+                    ln.min_key[b] = std::min(ln.min_key[b], key);
+                    ln.max_key[b] = std::max(ln.max_key[b], key);
+                }
+            }
+        });
+
+        // Bucket slices, each lane's first position in them, and where each
+        // lane meets its next block end: the local ranks r of bucket b with
+        // (carry[b] + r + 1) % V == 0.
+        std::size_t at = 0, blocks = 0;
+        for (std::uint32_t b = 0; b < s_; ++b) {
+            start[b] = at;
+            const std::size_t first_end = v_ - 1 - carry[b];
+            const auto ends_below = [&](std::size_t r) -> std::size_t {
+                return r > first_end ? (r - 1 - first_end) / v_ + 1 : 0;
+            };
+            for (std::size_t w = 0; w < n_lanes; ++w) {
+                Lane& ln = lanes_[w];
+                const std::size_t r = at - start[b];
+                const std::size_t below = ends_below(r);
+                ln.pos[b] = at;
+                ln.next_end[b] = start[b] + first_end + below * v_;
+                at += ln.count[b];
+                ln.count[b] = ends_below(at - start[b]) - below; // now: blocks it ends
+            }
+        }
+        start[s_] = at;
+        for (std::size_t w = 0; w < n_lanes; ++w) {
+            lanes_[w].done_at = blocks;
+            for (std::uint32_t b = 0; b < s_; ++b) blocks += lanes_[w].count[b];
+        }
+        done.resize(blocks);
+
+        each_lane([&](std::size_t w) {
+            Lane& ln = lanes_[w];
+            std::size_t* pos = ln.pos.data();
+            std::size_t* next_end = ln.next_end.data();
+            std::uint32_t* out = done.data() + ln.done_at;
+            for (std::size_t i = ln.lo; i < ln.hi; ++i) {
+                const std::uint32_t b = cls_[i];
+                const std::size_t p = pos[b]++;
+                part[p] = chunk[i];
+                if (p == next_end[b]) {
+                    *out++ = b;
+                    next_end[b] += v_;
+                }
+            }
+        });
+
+        min_key.assign(s_, ~std::uint64_t{0});
+        max_key.assign(s_, 0);
+        for (std::size_t w = 0; w < n_lanes; ++w) {
+            for (std::uint32_t b = 0; b < s_; ++b) {
+                min_key[b] = std::min(min_key[b], lanes_[w].min_key[b]);
+                max_key[b] = std::max(max_key[b], lanes_[w].max_key[b]);
+            }
+        }
+    }
+
+    /// Bucket b's records are part[start[b], start[b+1]).
+    std::vector<std::size_t> start;
+    /// Key range of each bucket's records in this memoryload.
+    std::vector<std::uint64_t> min_key, max_key;
+    /// The bucket of every block this memoryload completes, in completion
+    /// order.
+    std::vector<std::uint32_t> done;
+
+private:
+    struct Lane {
+        std::size_t lo = 0, hi = 0;
+        std::vector<std::size_t> count; // records per bucket, then blocks ended
+        std::vector<std::uint64_t> min_key, max_key;
+        std::vector<std::size_t> pos;      // scatter cursor per bucket
+        std::vector<std::size_t> next_end; // position of the next block end
+        std::size_t done_at = 0;           // first entry of `done` it writes
+    };
+
+    std::uint32_t s_, v_;
+    std::vector<Lane> lanes_;
+    std::vector<std::uint32_t> cls_;
 };
 
 constexpr Record kPadRecord{~std::uint64_t{0}, ~std::uint64_t{0}};
@@ -106,30 +297,39 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
         }
     }
 
-    std::vector<std::vector<Record>> fill(s_eff); // partial blocks being built
-    std::deque<PendingBlock> ready;               // full (or final) blocks to place
+    // Each memoryload is read into `chunk` and partitioned into `part`;
+    // queued blocks are views into `part` and `slots` (DESIGN.md §10).
+    // `carry[b]` records of bucket b's partial block wait in slot
+    // `carry_slot[b]`.
+    const std::size_t load_records =
+        static_cast<std::size_t>(std::min<std::uint64_t>(memory_records, input.remaining()));
+    auto chunk = BufferPool::acquire_from(buffers, load_records);
+    auto part = BufferPool::acquire_from(buffers, load_records);
+    auto wbuf = BufferPool::acquire_from(buffers, static_cast<std::size_t>(dv) * v);
+    LoadPartition partition(s_eff, v);
+    SlotStore slots(v);
+    std::vector<std::uint32_t> carry(s_eff, 0), carry_slot(s_eff, kNoSlot), formed(s_eff);
+    BlockQueue ready;
     bool tails_flushed = false;
     std::uint32_t rr_cursor = 0; // cyclic assignment cursor
     std::uint64_t stalled_tracks = 0;
-
-    // One memoryload of input staging plus one track of write staging,
-    // leased once per pass and reused across all tracks.
-    auto chunk = BufferPool::acquire_from(
-        buffers,
-        static_cast<std::size_t>(std::min<std::uint64_t>(memory_records, input.remaining())));
-    auto wbuf = BufferPool::acquire_from(buffers, static_cast<std::size_t>(dv) * v);
-    std::vector<std::uint32_t> chunk_bucket;
     // Per-track scratch, hoisted so a pass allocates it once, not per
     // track or per placement round.
     std::vector<PendingBlock> track;
     std::vector<std::uint32_t> assigned, pending, writable, offender_js, now, later, hs;
     std::vector<bool> was_matched, used;
 
-    auto append_output = [&](std::uint32_t b, std::uint32_t vdisk_unused,
-                             const VirtualDisks::VBlock& vb, std::uint32_t count) {
-        (void)vdisk_unused;
+    auto append_output = [&](std::uint32_t b, const VirtualDisks::VBlock& vb, std::uint32_t count) {
         buckets[b].run.entries.push_back(VRun::Entry{vb, count});
         buckets[b].run.n_records += count;
+    };
+    // Copy the part of `blk` still in `part` behind its head, into its slot.
+    auto spill = [&](PendingBlock& blk) {
+        if (blk.head == blk.count) return;
+        if (blk.slot == kNoSlot) blk.slot = slots.acquire();
+        std::copy_n(part->begin() + static_cast<std::ptrdiff_t>(blk.offset), blk.count - blk.head,
+                    slots.slot(blk.slot) + blk.head);
+        blk.head = blk.count;
     };
 
     while (true) {
@@ -139,14 +339,13 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
             chunk->resize(want);
             const std::uint64_t got = input.read(*chunk);
             BS_MODEL_CHECK(got == want, "balance_pass: short read from source");
-            // Partition the memoryload into buckets (Algorithm 3 line (1)):
-            // bucket indices computed data-parallel, scatter sequential.
-            chunk_bucket.resize(got);
-            pool.parallel_for(0, got, [&](std::size_t lo, std::size_t hi, std::size_t) {
-                for (std::size_t i = lo; i < hi; ++i) {
-                    chunk_bucket[i] = pivots.bucket_of((*chunk)[i].key);
-                }
-            });
+            // Blocks still queued from the last memoryload keep their
+            // records: `part` is about to be overwritten.
+            ready.compact();
+            for (PendingBlock& blk : ready.queued()) spill(blk);
+            // Partition the memoryload into buckets (Algorithm 3 line (1)).
+            part->resize(got);
+            partition.run(*chunk, pivots, carry, part->data(), pool);
             if (meter != nullptr) {
                 meter->add_comparisons(got * std::max<std::uint64_t>(1, ilog2_ceil(s_eff)));
                 meter->add_moves(got);
@@ -155,28 +354,54 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
                 cost->charge_parallel_work(got * std::max<std::uint64_t>(1, ilog2_ceil(s_eff)));
                 cost->charge_collective();
             }
-            for (std::uint64_t i = 0; i < got; ++i) {
-                const std::uint32_t b = chunk_bucket[i];
-                buckets[b].min_key = std::min(buckets[b].min_key, (*chunk)[i].key);
-                buckets[b].max_key = std::max(buckets[b].max_key, (*chunk)[i].key);
+            for (std::uint32_t b = 0; b < s_eff; ++b) {
+                const std::size_t lo = partition.start[b], hi = partition.start[b + 1];
+                if (lo == hi) continue;
+                buckets[b].min_key = std::min(buckets[b].min_key, partition.min_key[b]);
+                buckets[b].max_key = std::max(buckets[b].max_key, partition.max_key[b]);
                 if (!sketches.empty() && sketches[b] != nullptr) {
-                    sketches[b]->add((*chunk)[i].key);
+                    for (std::size_t i = lo; i < hi; ++i) sketches[b]->add((*part)[i].key);
                 }
-                fill[b].push_back((*chunk)[i]);
-                if (fill[b].size() == v) {
-                    ready.push_back(PendingBlock{b, std::move(fill[b])});
-                    fill[b].clear();
-                    fill[b].reserve(v); // the move took the capacity along
+            }
+            // Completed blocks join the queue in completion order. Bucket
+            // b's first block takes its carried records as its head; its
+            // k-th ends k·V - carry records into its slice.
+            std::fill(formed.begin(), formed.end(), 0);
+            for (const std::uint32_t b : partition.done) {
+                PendingBlock blk{b, v, 0, kNoSlot, partition.start[b]};
+                if (formed[b] == 0) {
+                    blk.head = carry[b];
+                    blk.slot = carry_slot[b];
+                } else {
+                    blk.offset += static_cast<std::size_t>(formed[b]) * v - carry[b];
                 }
+                ++formed[b];
+                ready.push_back(blk);
+            }
+            // What is left of each bucket's slice becomes (or extends) its
+            // carried partial block.
+            for (std::uint32_t b = 0; b < s_eff; ++b) {
+                std::size_t lo = partition.start[b];
+                if (formed[b] > 0) {
+                    lo += static_cast<std::size_t>(formed[b]) * v - carry[b];
+                    carry[b] = 0;
+                    carry_slot[b] = kNoSlot;
+                }
+                const std::size_t tail = partition.start[b + 1] - lo;
+                if (tail == 0) continue;
+                if (carry_slot[b] == kNoSlot) carry_slot[b] = slots.acquire();
+                std::copy_n(part->begin() + static_cast<std::ptrdiff_t>(lo), tail,
+                            slots.slot(carry_slot[b]) + carry[b]);
+                carry[b] += static_cast<std::uint32_t>(tail);
             }
         }
         // ---- Input exhausted: final partial blocks join the queue. ----
         if (input.remaining() == 0 && !tails_flushed) {
             for (std::uint32_t b = 0; b < s_eff; ++b) {
-                if (!fill[b].empty()) {
-                    ready.push_back(PendingBlock{b, std::move(fill[b])});
-                    fill[b].clear();
-                }
+                if (carry[b] == 0) continue;
+                ready.push_back(PendingBlock{b, carry[b], carry[b], carry_slot[b], 0});
+                carry[b] = 0;
+                carry_slot[b] = kNoSlot;
             }
             tails_flushed = true;
         }
@@ -190,10 +415,7 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
         const std::uint32_t k = static_cast<std::uint32_t>(
             std::min<std::size_t>(dv, ready.size()));
         track.clear();
-        for (std::uint32_t j = 0; j < k; ++j) {
-            track.push_back(std::move(ready.front()));
-            ready.pop_front();
-        }
+        for (std::uint32_t j = 0; j < k; ++j) track.push_back(ready.pop_front());
         // Tentative assignment to distinct virtual disks.
         assigned.assign(k, 0);
         if (opt.assign == AssignPolicy::kCyclic) {
@@ -245,23 +467,26 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
         // simply become writable in a later round.
         auto write_blocks = [&](const std::vector<std::uint32_t>& js) {
             if (js.empty()) return;
-            // Reuses the pass-level `wbuf` lease: each block's payload is
-            // copied in and only the tail of a final partial block needs
-            // pad (full blocks overwrite their slot entirely).
+            // Gathers each block's head and partition range into the
+            // pass-level `wbuf` lease; only the tail of a final partial
+            // block needs pad.
             wbuf->resize(js.size() * static_cast<std::size_t>(v));
             hs.resize(js.size());
             for (std::size_t q = 0; q < js.size(); ++q) {
-                const auto& blk = track[js[q]];
-                const auto dst = wbuf->begin() + static_cast<std::ptrdiff_t>(q * v);
-                std::copy(blk.data.begin(), blk.data.end(), dst);
-                std::fill(dst + static_cast<std::ptrdiff_t>(blk.data.size()),
-                          dst + static_cast<std::ptrdiff_t>(v), kPadRecord);
+                const PendingBlock& blk = track[js[q]];
+                Record* dst = wbuf->data() + q * v;
+                if (blk.slot != kNoSlot) {
+                    std::copy_n(slots.slot(blk.slot), blk.head, dst);
+                    slots.release(blk.slot);
+                }
+                std::copy_n(part->begin() + static_cast<std::ptrdiff_t>(blk.offset),
+                            blk.count - blk.head, dst + blk.head);
+                std::fill(dst + blk.count, dst + v, kPadRecord);
                 hs[q] = assigned[js[q]];
             }
             auto vbs = vdisks.write_track(hs, *wbuf); // one parallel I/O step
             for (std::size_t q = 0; q < js.size(); ++q) {
-                append_output(track[js[q]].bucket, hs[q], vbs[q],
-                              static_cast<std::uint32_t>(track[js[q]].data.size()));
+                append_output(track[js[q]].bucket, vbs[q], track[js[q]].count);
             }
         };
 
@@ -344,7 +569,7 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
                 for (std::uint32_t j : pending) {
                     if (matrices.aux(track[j].bucket, assigned[j]) >= 2) {
                         matrices.decrement(track[j].bucket, assigned[j]);
-                        ready.push_front(std::move(track[j]));
+                        ready.push_front(track[j]);
                         local_stats.deferred_blocks += 1;
                     } else {
                         pending[kept++] = j;

@@ -2,22 +2,22 @@
 
 #include <algorithm>
 
-#include "pram/parallel_sort.hpp"
 #include "pram/selection.hpp"
 #include "util/math.hpp"
 
 namespace balsort {
 
-std::uint32_t PivotSet::bucket_of(std::uint64_t key) const {
-    // Branchless probe (pivot_lower_bound is a cmov loop): i = #keys < key;
-    // the +1 equal-class offset folds into an unpredicated add, so the
-    // classification hot loops in balance_pass carry no data-dependent
-    // branches at all.
-    const std::span<const std::uint64_t> ks(keys);
-    const std::uint32_t i = pivot_lower_bound(ks, key);
-    const std::uint32_t eq =
-        static_cast<std::uint32_t>(i < ks.size() && ks[i] == key); // equal class
-    return 2 * i + eq;
+void PivotSet::classify(std::span<const Record> records, std::uint32_t* out) const {
+    constexpr std::size_t kBatch = 8;
+    std::size_t i = 0;
+    for (; i + kBatch <= records.size(); i += kBatch) {
+        std::uint64_t key[kBatch];
+        std::uint32_t at[kBatch];
+        for (std::size_t j = 0; j < kBatch; ++j) key[j] = records[i + j].key;
+        pivot_lower_bound_batch(keys, key, at);
+        for (std::size_t j = 0; j < kBatch; ++j) out[i + j] = 2 * at[j] + equals_pivot(at[j], key[j]);
+    }
+    for (; i < records.size(); ++i) out[i] = bucket_of(records[i].key);
 }
 
 std::uint64_t sampling_stride(std::uint64_t n, std::uint64_t m, std::uint32_t s_target) {

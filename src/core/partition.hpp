@@ -18,11 +18,14 @@
 /// pivot i. Equal-class buckets are already sorted and are emitted without
 /// recursion, so heavy duplicates can never stall the recursion.
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/vrun.hpp"
 #include "pram/executor.hpp"
+#include "pram/parallel_sort.hpp"
 #include "pram/pram_cost.hpp"
 #include "util/work_meter.hpp"
 
@@ -40,8 +43,27 @@ struct PivotSet {
     bool is_equal_class(std::uint32_t bucket) const { return bucket % 2 == 1; }
 
     /// Bucket of `key`: 2i for the open range (keys[i-1], keys[i]),
-    /// 2i+1 for key == keys[i]. O(log |keys|).
-    std::uint32_t bucket_of(std::uint64_t key) const;
+    /// 2i+1 for key == keys[i]. O(log |keys|) and branchless: i comes from
+    /// pivot_lower_bound's mask loop, and the equal-class test folds into
+    /// an add.
+    std::uint32_t bucket_of(std::uint64_t key) const {
+        const std::uint32_t i = pivot_lower_bound(keys, key);
+        return 2 * i + equals_pivot(i, key);
+    }
+
+    /// out[i] = bucket_of(records[i].key) for every record, probing eight
+    /// keys at a time (pivot_lower_bound_batch) so their pivot loads
+    /// overlap. `out` holds records.size() entries.
+    void classify(std::span<const Record> records, std::uint32_t* out) const;
+
+    /// 1 if key == keys[i], else 0 (also for i == keys.size()). Reads
+    /// keys[min(i, size-1)], so the test needs no bounds branch.
+    std::uint32_t equals_pivot(std::uint32_t i, std::uint64_t key) const {
+        if (keys.empty()) return 0;
+        const std::size_t last = keys.size() - 1;
+        return static_cast<std::uint32_t>(i <= last) &
+               static_cast<std::uint32_t>(keys[std::min<std::size_t>(i, last)] == key);
+    }
 };
 
 /// Compute pivots for a level of PDM Balance Sort by memoryload sampling.

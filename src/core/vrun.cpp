@@ -51,14 +51,21 @@ VRunSource::~VRunSource() {
     }
 }
 
-std::vector<BlockOp> VRunSource::entry_ops(std::size_t first, std::size_t n) const {
-    std::vector<BlockOp> ops;
-    ops.reserve(n * vdisks_.group_size());
+void VRunSource::entry_ops(std::size_t first, std::size_t n) {
+    ops_.clear();
     for (std::size_t e = first; e < first + n; ++e) {
         const auto& vb = run_.entries[e].vblock;
-        ops.insert(ops.end(), vb.ops.begin(), vb.ops.end());
+        BS_REQUIRE(vb.ops.size() == vdisks_.group_size(), "VRunSource: malformed virtual block");
+        ops_.insert(ops_.end(), vb.ops.begin(), vb.ops.end());
     }
-    return ops;
+}
+
+void VRunSource::size_lease(BufferPool::Lease& lease, std::size_t n) {
+    if (lease->capacity() == 0) {
+        lease = BufferPool::acquire_from(buffers_, n);
+    } else {
+        lease->resize(n);
+    }
 }
 
 bool VRunSource::start_prefetch(std::uint64_t max_records, double* hidden_sink) {
@@ -69,10 +76,11 @@ bool VRunSource::start_prefetch(std::uint64_t max_records, double* hidden_sink) 
     const std::size_t n = std::min<std::size_t>(
         run_.entries.size(),
         static_cast<std::size_t>(std::max<std::uint64_t>(1, ceil_div(max_records, v))));
-    pending_.buf = BufferPool::acquire_from(buffers_, n * v);
+    size_lease(pending_.buf, n * v);
     pending_.first_entry = 0;
     pending_.n_entries = n;
-    pending_.ticket = array.prefetch_read(entry_ops(0, n), std::span<Record>(*pending_.buf));
+    entry_ops(0, n);
+    pending_.ticket = array.prefetch_read(ops_, std::span<Record>(*pending_.buf));
     hidden_sink_ = hidden_sink;
     staged_at_ = std::chrono::steady_clock::now();
     staged_ = true;
@@ -84,18 +92,20 @@ bool VRunSource::start_prefetch(std::uint64_t max_records, double* hidden_sink) 
     return true;
 }
 
-void VRunSource::fetch_entries(std::size_t first, std::size_t n, std::span<Record> buf) {
+void VRunSource::fetch_entries(std::size_t first, std::size_t n,
+                               FunctionRef<void(std::size_t, const Record*)> deliver) {
     DiskArray& array = vdisks_.array();
     const std::uint32_t v = vdisks_.vblock_records();
+    entry_ops(first, n);
     if (!array.async_enabled()) {
-        std::vector<VirtualDisks::VBlock> vbs;
-        vbs.reserve(n);
-        for (std::size_t e = first; e < first + n; ++e) vbs.push_back(run_.entries[e].vblock);
-        vdisks_.read_vblocks(vbs, buf);
+        size_lease(stage_, n * v);
+        array.read_batch(ops_, std::span<Record>(*stage_));
+        for (std::size_t k = 0; k < n; ++k) deliver(first + k, stage_->data() + k * v);
         return;
     }
-    // One charge for the whole fetch — the exact batch read_vblocks reads.
-    array.charge_read_batch(entry_ops(first, n));
+    // One charge for the whole fetch — the exact batch the inline engine
+    // would read.
+    array.charge_read_batch(ops_);
     std::size_t served = 0;
     if (pending_.n_entries > pending_.consumed) {
         BS_MODEL_CHECK(pending_.first_entry + pending_.consumed == first,
@@ -116,69 +126,71 @@ void VRunSource::fetch_entries(std::size_t first, std::size_t n, std::span<Recor
             array.complete_read(pending_.ticket);
             pending_.waited = true;
         }
-        const std::size_t take = std::min(n, pending_.n_entries - pending_.consumed);
-        std::copy_n(pending_.buf->begin() + static_cast<std::ptrdiff_t>(pending_.consumed * v),
-                    take * v, buf.begin());
-        pending_.consumed += take;
-        served = take;
+        served = std::min(n, pending_.n_entries - pending_.consumed);
+        for (std::size_t k = 0; k < served; ++k) {
+            deliver(first + k, pending_.buf->data() + (pending_.consumed + k) * v);
+        }
+        pending_.consumed += served;
     }
     if (served < n) {
-        const std::vector<BlockOp> rest = entry_ops(first + served, n - served);
-        DiskArray::ReadTicket ticket = array.prefetch_read(rest, buf.subspan(served * v));
+        // The prefetch fell short (first fetch, or a grown request): read
+        // the rest now, uncharged, into the staging lease.
+        size_lease(stage_, (n - served) * v);
+        DiskArray::ReadTicket ticket = array.prefetch_read(
+            std::span<const BlockOp>(ops_).subspan(served * vdisks_.group_size()),
+            std::span<Record>(*stage_));
         array.complete_read(ticket);
+        for (std::size_t k = served; k < n; ++k) {
+            deliver(first + k, stage_->data() + (k - served) * v);
+        }
     }
     if (pending_.consumed >= pending_.n_entries) {
+        // Start the next prefetch, sized like this fetch and clamped to
+        // the run end, in the consumed prefetch lease (or, after the first
+        // fetch, in the staging lease it just read).
+        BufferPool::Lease buf = std::move(pending_.buf->capacity() != 0 ? pending_.buf : stage_);
         pending_ = Prefetch{};
         const std::size_t next_first = first + n;
         const std::size_t next_n = std::min(n, run_.entries.size() - next_first);
         if (next_n > 0) {
-            pending_.buf = BufferPool::acquire_from(buffers_, next_n * v);
+            pending_.buf = std::move(buf);
+            size_lease(pending_.buf, next_n * v);
             pending_.first_entry = next_first;
             pending_.n_entries = next_n;
-            pending_.ticket =
-                array.prefetch_read(entry_ops(next_first, next_n), std::span<Record>(*pending_.buf));
+            entry_ops(next_first, next_n);
+            pending_.ticket = array.prefetch_read(ops_, std::span<Record>(*pending_.buf));
         }
     }
 }
 
 std::uint64_t VRunSource::read(std::span<Record> out) {
     const std::uint64_t want = std::min<std::uint64_t>(out.size(), remaining_);
-    std::uint64_t got = 0;
-    while (got < want && carry_pos_ < carry_.size()) {
-        out[got++] = carry_[carry_pos_++];
-    }
-    if (carry_pos_ >= carry_.size()) {
-        carry_.clear();
-        carry_pos_ = 0;
-    }
-    if (got < want) {
+    const std::uint64_t from_carry = std::min<std::uint64_t>(want, carry_.size() - carry_pos_);
+    std::copy_n(carry_.begin() + static_cast<std::ptrdiff_t>(carry_pos_), from_carry, out.begin());
+    carry_pos_ += from_carry;
+    if (from_carry < want) {
         // Decide how many whole virtual blocks cover the deficit.
-        const std::uint64_t need = want - got;
+        std::uint64_t room = want - from_carry;
         std::uint64_t covered = 0;
         std::size_t last = next_entry_;
-        while (covered < need) {
+        while (covered < room) {
             BS_MODEL_CHECK(last < run_.entries.size(), "VRunSource: run exhausted prematurely");
             covered += run_.entries[last].count;
             ++last;
         }
-        const std::size_t n_fetch = last - next_entry_;
-        const std::uint32_t v = vdisks_.vblock_records();
-        auto buf = BufferPool::acquire_from(buffers_, n_fetch * v);
-        fetch_entries(next_entry_, n_fetch, std::span<Record>(*buf));
-        // Concatenate the valid prefixes of each block.
-        auto valid = BufferPool::acquire_from(buffers_, 0);
-        valid->reserve(covered);
-        for (std::size_t k = 0; k < n_fetch; ++k) {
-            const auto& entry = run_.entries[next_entry_ + k];
-            valid->insert(valid->end(), buf->begin() + static_cast<std::ptrdiff_t>(k * v),
-                          buf->begin() + static_cast<std::ptrdiff_t>(k * v + entry.count));
-        }
+        carry_.clear();
+        carry_pos_ = 0;
+        Record* dst = out.data() + from_carry;
+        // Each block's valid prefix goes to the caller; what the caller
+        // has no room for goes to the carry.
+        fetch_entries(next_entry_, last - next_entry_, [&](std::size_t e, const Record* block) {
+            const std::uint32_t count = run_.entries[e].count;
+            const std::uint64_t take = std::min<std::uint64_t>(count, room);
+            dst = std::copy_n(block, take, dst);
+            room -= take;
+            carry_.insert(carry_.end(), block + take, block + count);
+        });
         next_entry_ = last;
-        std::copy_n(valid->begin(), need, out.begin() + static_cast<std::ptrdiff_t>(got));
-        got += need;
-        if (valid->size() > need) {
-            carry_.assign(valid->begin() + static_cast<std::ptrdiff_t>(need), valid->end());
-        }
     }
     remaining_ -= want;
     return want;

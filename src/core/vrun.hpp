@@ -17,6 +17,7 @@
 
 #include "pdm/striping.hpp"
 #include "util/buffer_pool.hpp"
+#include "util/function_ref.hpp"
 
 namespace balsort {
 
@@ -64,8 +65,11 @@ struct VRun {
 /// Streams a VRun; fetches pending virtual blocks with maximal parallelism.
 /// Double-buffers through the array's async engine when it is enabled,
 /// charging model costs at consumption time exactly as the synchronous
-/// path would (see RunReader; DESIGN.md §9). With `buffers`, staging
-/// memory is leased from the pool instead of heap-allocated per fetch.
+/// path would (see RunReader; DESIGN.md §9). Each block's valid prefix is
+/// copied once, from the buffer the engine read it into (the prefetch
+/// lease, or a staging lease for what no prefetch covered) straight into
+/// the caller's span; only the tail a read does not take goes to a carry
+/// for the next read. With `buffers`, the leases come from the pool.
 class VRunSource final : public RecordSource {
 public:
     VRunSource(VirtualDisks& vdisks, const VRun& run, BufferPool* buffers = nullptr);
@@ -87,18 +91,26 @@ public:
     bool start_prefetch(std::uint64_t max_records, double* hidden_sink = nullptr);
 
 private:
-    /// Fetch entries [first, first+n) into buf (n * vblock_records()).
-    void fetch_entries(std::size_t first, std::size_t n, std::span<Record> buf);
-    /// Physical block ops of entries [first, first+n), in read order.
-    std::vector<BlockOp> entry_ops(std::size_t first, std::size_t n) const;
+    /// Read entries [first, first+n), charged as one batch, and hand
+    /// each to `deliver(entry index, its vblock_records() records)` in
+    /// run order.
+    void fetch_entries(std::size_t first, std::size_t n,
+                       FunctionRef<void(std::size_t, const Record*)> deliver);
+    /// Fill ops_ with the physical block ops of entries [first, first+n),
+    /// in read order.
+    void entry_ops(std::size_t first, std::size_t n);
+    /// `lease`, sized to n records (acquired if it holds no buffer yet).
+    void size_lease(BufferPool::Lease& lease, std::size_t n);
 
     VirtualDisks& vdisks_;
     const VRun& run_;
     BufferPool* buffers_;
     std::size_t next_entry_ = 0;
     std::uint64_t remaining_;
-    std::vector<Record> carry_;
+    std::vector<Record> carry_; ///< fetched, not yet returned (< one vblock)
     std::size_t carry_pos_ = 0;
+    std::vector<BlockOp> ops_;  ///< entry_ops scratch
+    BufferPool::Lease stage_;   ///< reads no prefetch covered land here
 
     /// The single in-flight prefetch (async engine only).
     struct Prefetch {

@@ -88,11 +88,14 @@ RunReader::~RunReader() {
     }
 }
 
-void RunReader::fetch_blocks(std::uint64_t first, std::uint64_t n, std::span<Record> buf) {
+void RunReader::fetch_blocks(std::uint64_t first, std::uint64_t n,
+                             FunctionRef<void(std::uint64_t, const Record*)> deliver) {
     const std::uint32_t b = disks_.block_size();
     const std::span<const BlockOp> ops(run_.blocks.data() + first, n);
     if (!disks_.async_enabled()) {
-        disks_.read_batch(ops, buf);
+        stage_.resize(n * b);
+        disks_.read_batch(ops, stage_);
+        for (std::uint64_t k = 0; k < n; ++k) deliver(first + k, stage_.data() + k * b);
         return;
     }
     // Model cost of this fetch, charged as one batch exactly like the sync
@@ -107,28 +110,35 @@ void RunReader::fetch_blocks(std::uint64_t first, std::uint64_t n, std::span<Rec
             disks_.complete_read(pending_.ticket);
             pending_.waited = true;
         }
-        const std::uint64_t take = std::min<std::uint64_t>(n, pending_.n_blocks - pending_.consumed);
-        std::copy_n(pending_.buf.begin() + static_cast<std::ptrdiff_t>(pending_.consumed * b),
-                    take * b, buf.begin());
-        pending_.consumed += take;
-        served = take;
+        served = std::min<std::uint64_t>(n, pending_.n_blocks - pending_.consumed);
+        for (std::uint64_t k = 0; k < served; ++k) {
+            deliver(first + k, pending_.buf.data() + (pending_.consumed + k) * b);
+        }
+        pending_.consumed += served;
     }
     if (served < n) {
         // The prefetch fell short (first fetch, or a grown request): issue
         // the remainder as an uncharged physical read and wait for it.
-        DiskArray::ReadTicket rest =
-            disks_.prefetch_read(ops.subspan(served), buf.subspan(served * b));
+        stage_.resize((n - served) * b);
+        DiskArray::ReadTicket rest = disks_.prefetch_read(ops.subspan(served), stage_);
         disks_.complete_read(rest);
+        for (std::uint64_t k = served; k < n; ++k) {
+            deliver(first + k, stage_.data() + (k - served) * b);
+        }
     }
     if (pending_.consumed >= pending_.n_blocks) {
         // Pending exhausted: start the next prefetch, sized like this
         // fetch and clamped to the run end, so a steady consumer always
-        // finds its next memoryload already in flight.
+        // finds its next memoryload already in flight. It reuses the
+        // consumed prefetch buffer (or, after the first fetch, the staging
+        // buffer it just read).
+        RecordBuffer buf = std::move(pending_.buf.capacity() != 0 ? pending_.buf : stage_);
         pending_ = Prefetch{};
         const std::uint64_t next_first = first + n;
         const std::uint64_t left = run_.blocks.size() - next_first;
         const std::uint64_t next_n = std::min<std::uint64_t>(n, left);
         if (next_n > 0) {
+            pending_.buf = std::move(buf);
             pending_.buf.resize(next_n * b);
             pending_.first_block = next_first;
             pending_.n_blocks = next_n;
@@ -141,37 +151,30 @@ void RunReader::fetch_blocks(std::uint64_t first, std::uint64_t n, std::span<Rec
 std::uint64_t RunReader::read(std::span<Record> out) {
     const std::uint32_t b = disks_.block_size();
     const std::uint64_t want = std::min<std::uint64_t>(out.size(), remaining_);
-    std::uint64_t got = 0;
     // Serve from the carry (tail of the last fetched block) first.
-    while (got < want && carry_pos_ < carry_.size()) {
-        out[got++] = carry_[carry_pos_++];
-    }
-    if (carry_pos_ >= carry_.size()) {
-        carry_.clear();
-        carry_pos_ = 0;
-    }
-    if (got < want) {
+    const std::uint64_t from_carry = std::min<std::uint64_t>(want, carry_.size() - carry_pos_);
+    std::copy_n(carry_.begin() + static_cast<std::ptrdiff_t>(carry_pos_), from_carry, out.begin());
+    carry_pos_ += from_carry;
+    if (from_carry < want) {
         // Carry is drained, so run position of block `next_block_` is
         // exactly next_block_ * b.
-        const std::uint64_t need = want - got;
-        const std::uint64_t n_fetch = ceil_div(need, b);
+        std::uint64_t room = want - from_carry;
+        const std::uint64_t n_fetch = ceil_div(room, b);
         BS_MODEL_CHECK(next_block_ + n_fetch <= run_.blocks.size(),
                        "RunReader: run exhausted prematurely");
-        std::vector<Record> buf(n_fetch * b);
-        fetch_blocks(next_block_, n_fetch, buf);
-        // Records in the fetched range that are real data (not pad).
-        const std::uint64_t range_begin = next_block_ * b;
-        const std::uint64_t range_end =
-            std::min<std::uint64_t>(range_begin + n_fetch * b, run_.n_records);
-        const std::uint64_t valid = range_end - range_begin;
-        BS_MODEL_CHECK(valid >= need, "RunReader: fetched range shorter than requested");
+        carry_.clear();
+        carry_pos_ = 0;
+        Record* dst = out.data() + from_carry;
+        fetch_blocks(next_block_, n_fetch, [&](std::uint64_t blk, const Record* src) {
+            // Records of the block that are real data (not pad).
+            const std::uint64_t valid = std::min<std::uint64_t>(b, run_.n_records - blk * b);
+            const std::uint64_t take = std::min(valid, room);
+            dst = std::copy_n(src, take, dst);
+            room -= take;
+            carry_.insert(carry_.end(), src + take, src + valid);
+        });
+        BS_MODEL_CHECK(room == 0, "RunReader: fetched range shorter than requested");
         next_block_ += n_fetch;
-        std::copy_n(buf.begin(), need, out.begin() + static_cast<std::ptrdiff_t>(got));
-        got += need;
-        if (valid > need) {
-            carry_.assign(buf.begin() + static_cast<std::ptrdiff_t>(need),
-                          buf.begin() + static_cast<std::ptrdiff_t>(valid));
-        }
     }
     remaining_ -= want;
     return want;

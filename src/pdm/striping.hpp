@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "pdm/disk_array.hpp"
+#include "util/buffer_pool.hpp"
+#include "util/function_ref.hpp"
 #include "util/math.hpp"
 
 namespace balsort {
@@ -84,7 +86,9 @@ private:
 /// the caller consumes one fetch, the next fetch-sized range of the run is
 /// already in flight (DESIGN.md §9). Model costs are charged at consumption
 /// time over exactly the ranges a plain read_batch would read, so
-/// io_steps() is identical either way.
+/// io_steps() is identical either way. Records are copied once, from the
+/// buffer the engine read them into straight into the caller's span; only
+/// the tail a read does not take goes to a carry for the next read.
 class RunReader {
 public:
     RunReader(DiskArray& disks, const BlockRun& run);
@@ -98,21 +102,25 @@ public:
     std::uint64_t read(std::span<Record> out);
 
 private:
-    /// Fetch blocks [first, first+n) of the run into buf, serving what the
-    /// in-flight prefetch already covers and starting the next prefetch.
-    void fetch_blocks(std::uint64_t first, std::uint64_t n, std::span<Record> buf);
+    /// Read blocks [first, first+n) of the run, charged as one batch, and
+    /// hand each to `deliver(block index, its B records)` in run order:
+    /// what the in-flight prefetch covers from its buffer, the rest from
+    /// `stage_`. Then start the next prefetch.
+    void fetch_blocks(std::uint64_t first, std::uint64_t n,
+                      FunctionRef<void(std::uint64_t, const Record*)> deliver);
 
     DiskArray& disks_;
     const BlockRun& run_;
     std::uint64_t next_block_ = 0;
     std::uint64_t remaining_;
-    std::vector<Record> carry_; // records fetched but not yet returned
+    std::vector<Record> carry_; // records fetched but not yet returned (< B)
     std::size_t carry_pos_ = 0;
+    RecordBuffer stage_; // reads no prefetch covered land here
 
     /// The single in-flight prefetch (async engine only).
     struct Prefetch {
         DiskArray::ReadTicket ticket;
-        std::vector<Record> buf;
+        RecordBuffer buf;
         std::uint64_t first_block = 0;
         std::uint64_t n_blocks = 0;
         std::uint64_t consumed = 0; ///< blocks already served to the caller

@@ -83,17 +83,6 @@ void Executor::push_batch(JobBase& job, std::uint32_t begin, std::uint32_t end) 
     wake_all();
 }
 
-void Executor::spawn(JobBase& job, std::uint32_t idx) {
-    const std::size_t di =
-        tls_executor == this ? tls_worker : rr_.fetch_add(1, std::memory_order_relaxed) % deques_.size();
-    {
-        WorkerDeque& d = deques_[di];
-        std::lock_guard<std::mutex> l(d.m);
-        d.q.push_back(Task{&job, idx, static_cast<std::uint32_t>(di)});
-    }
-    wake_all();
-}
-
 bool Executor::try_pop(std::size_t me, Task* out) {
     {
         WorkerDeque& d = deques_[me];
@@ -359,50 +348,6 @@ void Parallel::parallel_invoke(FunctionRef<void(std::size_t)> body) const {
     parallel_for(0, width_, [&body](std::size_t lo, std::size_t hi, std::size_t) {
         for (std::size_t i = lo; i < hi; ++i) body(i);
     });
-}
-
-// ---------------------------------------------------------------------------
-// TaskGroup: dynamic recursive fan-out.
-
-void TaskGroup::run(std::function<void()> fn) {
-    if (exec_ == nullptr || exec_->workers() == 0) {
-        fn(); // serial mode: run inline, exceptions propagate naturally
-        return;
-    }
-    std::uint32_t idx = 0;
-    {
-        std::lock_guard<std::mutex> l(fm_);
-        fns_.push_back(std::move(fn));
-        idx = static_cast<std::uint32_t>(fns_.size() - 1);
-    }
-    // Increment-before-spawn: remaining_ can never falsely drain to the
-    // owner token while the task is in flight to a deque.
-    remaining_.fetch_add(1, std::memory_order_acq_rel);
-    exec_->spawn(*this, idx);
-}
-
-void TaskGroup::run_task(std::uint32_t idx) {
-    std::function<void()>* fn = nullptr;
-    {
-        // deque never invalidates element addresses on push_back; the lock
-        // only orders this read against a concurrent structural push.
-        std::lock_guard<std::mutex> l(fm_);
-        fn = &fns_[idx];
-    }
-    (*fn)();
-}
-
-void TaskGroup::wait() {
-    if (exec_ == nullptr || exec_->workers() == 0) return;
-    // Drop the owner token. If spawned tasks are still pending, help/join;
-    // if we were the last count, every task already finished.
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) > 1) {
-        exec_->join(*this);
-    } else if (error_) {
-        std::exception_ptr e = error_;
-        error_ = nullptr;
-        std::rethrow_exception(e);
-    }
 }
 
 } // namespace balsort

@@ -1,9 +1,8 @@
 #pragma once
 /// \file executor.hpp
 /// The task-parallel compute core: a work-stealing `Executor` of dedicated
-/// worker threads, a borrowed `Parallel` view that algorithms take in place
-/// of the old fork-join `ThreadPool`, and a `TaskGroup` for recursive
-/// fan-out.
+/// worker threads, and a borrowed `Parallel` view that algorithms take in
+/// place of the old fork-join `ThreadPool`.
 ///
 /// Design (DESIGN.md §15):
 ///  - Per-worker deques under small per-deque mutexes: owners pop LIFO
@@ -31,7 +30,6 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -58,9 +56,9 @@ struct ComputeChannel {
 };
 
 /// A schedulable unit of fork-join work: `run_task(i)` executes chunk i.
-/// Jobs live on the submitter's stack for the duration of `Executor::run`
-/// (or `TaskGroup::wait`); completion is signalled under the job's own
-/// mutex so destruction after `join` returns is safe.
+/// Jobs live on the submitter's stack for the duration of `Executor::run`;
+/// completion is signalled under the job's own mutex so destruction after
+/// `join` returns is safe.
 class JobBase {
   public:
     virtual ~JobBase() = default;
@@ -96,10 +94,6 @@ class Executor {
     /// executes chunk 0 and then helps with the rest; blocks until every
     /// chunk has drained. Rethrows the first exception a chunk threw.
     void run(JobBase& job, std::uint32_t n_tasks);
-
-    /// Enqueue one extra chunk of an in-flight job (TaskGroup fan-out).
-    /// The caller must have incremented job.remaining_ beforehand.
-    void spawn(JobBase& job, std::uint32_t idx);
 
     /// Block until `job` completes, executing its queued chunks while any
     /// remain. Rethrows the job's first error.
@@ -197,31 +191,6 @@ class Parallel {
     std::size_t width_ = 1;
     Executor* exec_ = nullptr;
     ComputeChannel* channel_ = nullptr;
-};
-
-/// Dynamic fan-out for recursive algorithms:
-/// `run(fn)` either executes inline (no executor) or enqueues fn as a new
-/// task of this group; `wait()` blocks until every spawned task finished,
-/// helping with queued ones, and rethrows the first error. Single-use.
-class TaskGroup : public JobBase {
-  public:
-    explicit TaskGroup(Executor* exec, ComputeChannel* channel = nullptr) : exec_(exec) {
-        channel_ = channel;
-        // The owner token: spawned tasks can never drain remaining_ to
-        // zero before wait() drops it, so early finishers cannot signal
-        // completion while the caller is still spawning.
-        remaining_.store(1, std::memory_order_relaxed);
-    }
-
-    void run(std::function<void()> fn);
-    void wait();
-
-    void run_task(std::uint32_t idx) override;
-
-  private:
-    Executor* exec_;
-    std::mutex fm_;
-    std::deque<std::function<void()>> fns_; // deque: stable element addresses
 };
 
 } // namespace balsort

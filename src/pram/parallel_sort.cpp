@@ -40,9 +40,6 @@ void binary_merge(std::span<const Record> a, std::span<const Record> b, std::spa
 
 namespace {
 
-/// Below this many records the radix kernel is one serial LSD sort:
-/// splitting and fanning out would cost more than they save.
-constexpr std::size_t kRadixSplitCutoff = 1 << 16;
 /// Widest digit of the radix kernel: 2^11 buckets.
 constexpr unsigned kRadixDigitBits = 11;
 /// The parallel split aims at buckets of about 2^12 records: large enough
@@ -117,7 +114,7 @@ void radix_sort_kernel(std::span<Record> records, const Parallel& pool) {
     const std::size_t n = records.size();
     if (n <= 1) return;
     std::vector<Record> scratch(n);
-    if (n < kRadixSplitCutoff) {
+    if (n < kParallelCutoff) { // one serial LSD sort
         std::vector<std::size_t> count;
         const std::span<Record> out = lsd_radix_sort(records, scratch, count);
         if (out.data() != records.data()) std::copy(out.begin(), out.end(), records.begin());

@@ -70,34 +70,71 @@ std::vector<std::uint32_t> bucket_of(std::span<const Record> records,
                                      std::span<const std::uint64_t> pivots, const Parallel& pool,
                                      WorkMeter* meter = nullptr);
 
+/// Memoryloads of at least this many records are split over the lanes
+/// (the radix base case and the Balance partition); smaller ones run
+/// serially, since a fork-join costs more than the work it would spread.
+inline constexpr std::size_t kParallelCutoff = std::size_t{1} << 16;
+
 /// Number of `pivots` (sorted ascending) that are <= key — a branchless
-/// upper_bound. The building block of every classification hot loop.
+/// upper_bound. The step is an all-ones/all-zeros mask ANDed into the
+/// offset, so the loop's only branch is its trip count, which depends on
+/// pivots.size() alone. The building block of every classification loop.
 inline std::uint32_t pivot_upper_bound(std::span<const std::uint64_t> pivots,
                                        std::uint64_t key) {
+    if (pivots.empty()) return 0;
     const std::uint64_t* base = pivots.data();
     std::size_t n = pivots.size();
     while (n > 1) {
         const std::size_t half = n / 2;
-        base += (base[half - 1] <= key) ? half : 0; // cmov, no branch
+        base += half & (std::size_t{0} - static_cast<std::size_t>(base[half - 1] <= key));
         n -= half;
     }
-    const std::size_t idx = static_cast<std::size_t>(base - pivots.data());
-    return static_cast<std::uint32_t>(idx + ((n == 1 && *base <= key) ? 1 : 0));
+    return static_cast<std::uint32_t>(base - pivots.data()) +
+           static_cast<std::uint32_t>(*base <= key);
 }
 
 /// Number of `pivots` (sorted ascending) that are < key — the branchless
-/// lower_bound twin (used by PivotSet::bucket_of's equal-class mapping).
+/// lower_bound twin, in the same mask form (PivotSet::bucket_of).
 inline std::uint32_t pivot_lower_bound(std::span<const std::uint64_t> pivots,
                                        std::uint64_t key) {
+    if (pivots.empty()) return 0;
     const std::uint64_t* base = pivots.data();
     std::size_t n = pivots.size();
     while (n > 1) {
         const std::size_t half = n / 2;
-        base += (base[half - 1] < key) ? half : 0; // cmov, no branch
+        base += half & (std::size_t{0} - static_cast<std::size_t>(base[half - 1] < key));
         n -= half;
     }
-    const std::size_t idx = static_cast<std::size_t>(base - pivots.data());
-    return static_cast<std::uint32_t>(idx + ((n == 1 && *base < key) ? 1 : 0));
+    return static_cast<std::uint32_t>(base - pivots.data()) +
+           static_cast<std::uint32_t>(*base < key);
+}
+
+/// `pivot_lower_bound` of K keys at once. The K searches walk the same
+/// sequence of widths, so their probes interleave and the pivot loads of
+/// one key overlap those of the others instead of forming one long
+/// dependency chain per key.
+template <std::size_t K>
+inline void pivot_lower_bound_batch(std::span<const std::uint64_t> pivots,
+                                    const std::uint64_t (&keys)[K], std::uint32_t (&out)[K]) {
+    if (pivots.empty()) {
+        for (std::size_t j = 0; j < K; ++j) out[j] = 0;
+        return;
+    }
+    const std::uint64_t* const data = pivots.data();
+    std::size_t at[K] = {};
+    std::size_t n = pivots.size();
+    while (n > 1) {
+        const std::size_t half = n / 2;
+        for (std::size_t j = 0; j < K; ++j) {
+            at[j] += half & (std::size_t{0} -
+                             static_cast<std::size_t>(data[at[j] + half - 1] < keys[j]));
+        }
+        n -= half;
+    }
+    for (std::size_t j = 0; j < K; ++j) {
+        out[j] = static_cast<std::uint32_t>(at[j]) +
+                 static_cast<std::uint32_t>(data[at[j]] < keys[j]);
+    }
 }
 
 } // namespace balsort

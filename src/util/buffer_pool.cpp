@@ -8,7 +8,7 @@ namespace balsort {
 
 BufferPool::Lease BufferPool::acquire(std::size_t n_records) {
     bool hit = false;
-    std::vector<Record> buf;
+    RecordBuffer buf;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (!free_.empty()) {
@@ -45,7 +45,7 @@ BufferPool::Lease BufferPool::acquire(std::size_t n_records) {
     return Lease{this, std::move(buf)};
 }
 
-void BufferPool::give_back(std::vector<Record>&& buf) {
+void BufferPool::give_back(RecordBuffer&& buf) {
     if (buf.capacity() == 0) return;
     std::lock_guard<std::mutex> lock(mutex_);
     if (max_retained_records_ != 0 &&

@@ -9,7 +9,10 @@
 /// milliseconds later. The pool keeps those buffers alive between passes:
 /// `acquire(n)` hands out a `Lease` whose vector is resized to n records
 /// (contents unspecified — callers must overwrite or pad), and the Lease
-/// destructor returns the buffer's capacity to the pool.
+/// destructor returns the buffer's capacity to the pool. Growing a lease
+/// does not zero-fill: the buffers are `RecordBuffer`s, whose allocator
+/// leaves new records' bytes as they are (a read or a copy overwrites them
+/// at once).
 ///
 /// Ownership rules:
 ///  * The pool must outlive every Lease it issued (the driver owns the pool
@@ -25,12 +28,41 @@
 /// already sized by the submitting thread).
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/record.hpp"
 
 namespace balsort {
+
+/// std::allocator whose value-less `construct` does nothing, so
+/// `resize(n)` on a vector using it does not write the new elements. Only
+/// for trivially copyable, trivially destructible types such as Record:
+/// they are implicit-lifetime types, so allocating the storage creates the
+/// objects, and their `= 0` member initializers still apply wherever a
+/// Record is value-constructed (`Record{}`, a plain std::vector<Record>).
+template <class T>
+struct UninitAllocator : std::allocator<T> {
+    UninitAllocator() = default;
+    template <class U>
+    UninitAllocator(const UninitAllocator<U>&) noexcept {}
+
+    template <class U>
+    void construct(U*) noexcept {
+        static_assert(std::is_trivially_copyable_v<U> && std::is_trivially_destructible_v<U>);
+    }
+    template <class U, class A0, class... A>
+    void construct(U* p, A0&& a0, A&&... a) {
+        ::new (static_cast<void*>(p)) U(std::forward<A0>(a0), std::forward<A>(a)...);
+    }
+};
+
+/// The record buffer a BufferPool lease holds.
+using RecordBuffer = std::vector<Record, UninitAllocator<Record>>;
 
 class BufferPool {
 public:
@@ -64,14 +96,14 @@ public:
         Lease(const Lease&) = delete;
         Lease& operator=(const Lease&) = delete;
 
-        std::vector<Record>& operator*() { return buf_; }
-        std::vector<Record>* operator->() { return &buf_; }
-        const std::vector<Record>& operator*() const { return buf_; }
-        const std::vector<Record>* operator->() const { return &buf_; }
+        RecordBuffer& operator*() { return buf_; }
+        RecordBuffer* operator->() { return &buf_; }
+        const RecordBuffer& operator*() const { return buf_; }
+        const RecordBuffer* operator->() const { return &buf_; }
 
     private:
         friend class BufferPool;
-        Lease(BufferPool* pool, std::vector<Record> buf) : pool_(pool), buf_(std::move(buf)) {}
+        Lease(BufferPool* pool, RecordBuffer buf) : pool_(pool), buf_(std::move(buf)) {}
 
         void release() {
             if (pool_ != nullptr) pool_->give_back(std::move(buf_));
@@ -80,7 +112,7 @@ public:
         }
 
         BufferPool* pool_ = nullptr;
-        std::vector<Record> buf_;
+        RecordBuffer buf_;
     };
 
     /// A buffer of exactly `n_records` records, contents unspecified.
@@ -90,8 +122,7 @@ public:
     /// vector (freed on destruction, nothing recycled).
     static Lease acquire_from(BufferPool* pool, std::size_t n_records) {
         if (pool != nullptr) return pool->acquire(n_records);
-        std::vector<Record> buf(n_records);
-        return Lease{nullptr, std::move(buf)};
+        return Lease{nullptr, RecordBuffer(n_records)};
     }
 
     struct Stats {
@@ -107,10 +138,10 @@ public:
     }
 
 private:
-    void give_back(std::vector<Record>&& buf);
+    void give_back(RecordBuffer&& buf);
 
     mutable std::mutex mutex_;
-    std::vector<std::vector<Record>> free_;
+    std::vector<RecordBuffer> free_;
     std::uint64_t max_retained_records_;
     Stats stats_;
 };

@@ -440,6 +440,77 @@ TEST(DiskArrayAsync, SetAsyncOffFoldsMetricsAndRestoresSyncPath) {
     EXPECT_EQ(arr.stats().async_block_ops, ops_after_disable);
 }
 
+// ------------------------------------------------------ read-path sizes
+
+/// Drain `src` in reads of `size` records and return what came out.
+template <class Source>
+std::vector<Record> read_in_steps(Source& src, std::size_t size) {
+    std::vector<Record> all, step(size);
+    while (src.remaining() > 0) {
+        const std::uint64_t got = src.read(step);
+        all.insert(all.end(), step.begin(), step.begin() + static_cast<std::ptrdiff_t>(got));
+    }
+    return all;
+}
+
+/// Reads land each block's valid prefix in the caller's span and carry
+/// the rest: every read size around the block size, and a whole
+/// memoryload, must return the written bytes, with the engine inline or
+/// threaded, with transient read faults retried underneath, and with a
+/// staged prefetch in front of the first read.
+TEST(ReadPath, EveryReadSizeReturnsTheWrittenBytes) {
+    constexpr std::uint32_t kD = 4, kB = 4, kDv = 2;
+    constexpr std::size_t kV = kB * kD / kDv, kM = 40; // V = 8 records
+    for (const bool faults : {false, true}) {
+        for (const bool async : {false, true}) {
+            FaultTolerance ft;
+            if (faults) {
+                ft.inject.seed = 99;
+                ft.inject.read_transient_rate = 0.2;
+                ft.max_retries = 32;
+            }
+            DiskArray arr(kD, kB, DiskBackend::kMemory, ".", Constraint::kIndependentDisks, ft);
+            arr.set_async(async);
+            VirtualDisks vd(arr, kDv);
+            // A VRun whose entries are mostly full, with partial ones in
+            // the middle and at the end (valid prefix + pad).
+            const std::vector<std::uint32_t> counts = {8, 8, 5, 8, 1, 8, 8, 7, 8, 8, 8, 3};
+            VRun run;
+            std::vector<Record> expected;
+            std::uint64_t next = 0;
+            for (std::size_t e = 0; e < counts.size(); ++e) {
+                std::vector<Record> block(kV, Record{~std::uint64_t{0}, ~std::uint64_t{0}});
+                for (std::uint32_t i = 0; i < counts[e]; ++i) {
+                    block[i] = {next * 7919 % 1000, next};
+                    ++next;
+                    expected.push_back(block[i]);
+                }
+                const std::uint32_t h = static_cast<std::uint32_t>(e % kDv);
+                const auto vbs = vd.write_track(std::span<const std::uint32_t>(&h, 1), block);
+                run.entries.push_back({vbs[0], counts[e]});
+                run.n_records += counts[e];
+            }
+            const std::vector<Record> striped_in = generate(Workload::kUniform, 61, 5);
+            const BlockRun striped = write_striped(arr, striped_in); // partial last block
+            for (const std::size_t size : {std::size_t{1}, kV - 1, kV, kV + 1, kM}) {
+                const std::string what = std::string(faults ? "faults " : "") +
+                                         (async ? "async" : "inline") +
+                                         " size=" + std::to_string(size);
+                VRunSource vsrc(vd, run);
+                EXPECT_EQ(read_in_steps(vsrc, size), expected) << what;
+                VRunSource staged(vd, run);
+                EXPECT_EQ(staged.start_prefetch(kM), async) << what;
+                EXPECT_EQ(read_in_steps(staged, size), expected) << what << " staged";
+                RunReader reader(arr, striped);
+                EXPECT_EQ(read_in_steps(reader, size), striped_in) << what;
+            }
+            if (faults) {
+                EXPECT_GT(arr.stats().transient_retries, 0u);
+            }
+        }
+    }
+}
+
 // -------------------------------------------------- end-to-end balance_sort
 
 TEST(BalanceSortAsync, ReportBitIdenticalToSyncOnMemoryBackend) {

@@ -1,6 +1,6 @@
 // Tests for the work-stealing compute core (pram/executor.hpp): executor
 // task coverage and stealing, nested fork-join, exception semantics,
-// degenerate worker counts, TaskGroup fan-out, and the parallel algorithm
+// degenerate worker counts, and the parallel algorithm
 // overloads (multi-selection, multiway merge) against their serial forms.
 // The whole binary also runs under TSan in CI.
 #include <gtest/gtest.h>
@@ -142,48 +142,6 @@ TEST(Executor, ChannelAccountsTasksStolenHelped) {
     EXPECT_EQ(tasks, 4u); // min(width, n) chunks
     EXPECT_LE(ch.stolen.load() + ch.helped.load(), tasks);
     EXPECT_GE(ch.helped.load(), 1u); // the caller always runs chunk 0
-}
-
-// ---- TaskGroup ----
-
-TEST(TaskGroup, RecursiveFanOutCompletes) {
-    Executor exec(3);
-    std::atomic<std::uint64_t> sum{0};
-    {
-        TaskGroup group(&exec);
-        // Binary fan-out: 1 + 2 + ... + 64 leaf increments.
-        std::function<void(std::uint64_t)> fan = [&](std::uint64_t n) {
-            if (n == 1) {
-                sum.fetch_add(1);
-                return;
-            }
-            group.run([&fan, n] { fan(n / 2); });
-            fan(n - n / 2);
-        };
-        fan(64);
-        group.wait();
-    }
-    EXPECT_EQ(sum.load(), 64u);
-}
-
-TEST(TaskGroup, InlineWithoutExecutor) {
-    TaskGroup group(nullptr);
-    int calls = 0;
-    group.run([&calls] { ++calls; });
-    group.run([&calls] { ++calls; });
-    group.wait();
-    EXPECT_EQ(calls, 2);
-}
-
-TEST(TaskGroup, SpawnedExceptionSurfacesAtWait) {
-    Executor exec(2);
-    TaskGroup group(&exec);
-    for (int i = 0; i < 16; ++i) {
-        group.run([i] {
-            if (i == 7) throw std::runtime_error("spawned");
-        });
-    }
-    EXPECT_THROW(group.wait(), std::runtime_error);
 }
 
 // ---- Parallel algorithm overloads vs their serial forms ----

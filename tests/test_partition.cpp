@@ -2,6 +2,7 @@
 // bounds), equal-class bucketing, stride formulas.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/hier_sort.hpp"
@@ -35,6 +36,35 @@ TEST(PivotSet, BucketOrderMatchesKeyOrder) {
         const std::uint64_t a = rng.below(300), b = rng.below(300);
         if (a < b) {
             EXPECT_LE(p.bucket_of(a), p.bucket_of(b));
+        }
+    }
+}
+
+TEST(PivotSet, ClassifyMatchesReferenceForEveryPivotCount) {
+    // bucket_of and the batched classify against a std::lower_bound
+    // reference, for 0-130 distinct pivots, with keys equal to a pivot,
+    // next to one, 0 and UINT64_MAX, and record counts that leave a
+    // remainder after the eight-key batches.
+    Xoshiro256 rng(11);
+    for (std::size_t count = 0; count <= 130; ++count) {
+        PivotSet p;
+        for (std::size_t i = 0; i < count; ++i) p.keys.push_back(rng() | 1);
+        std::sort(p.keys.begin(), p.keys.end());
+        p.keys.erase(std::unique(p.keys.begin(), p.keys.end()), p.keys.end());
+        std::vector<Record> recs = {{0, 0}, {~std::uint64_t{0}, 0}};
+        for (std::uint64_t k : p.keys) {
+            recs.insert(recs.end(), {Record{k, 0}, Record{k - 1, 0}, Record{k + 1, 0}});
+        }
+        for (std::size_t i = 0; i < 13; ++i) recs.push_back({rng(), 0});
+        std::vector<std::uint32_t> got(recs.size());
+        p.classify(recs, got.data());
+        for (std::size_t i = 0; i < recs.size(); ++i) {
+            const std::uint64_t key = recs[i].key;
+            const auto at = std::lower_bound(p.keys.begin(), p.keys.end(), key);
+            const std::uint32_t want = 2 * static_cast<std::uint32_t>(at - p.keys.begin()) +
+                                       (at != p.keys.end() && *at == key ? 1 : 0);
+            ASSERT_EQ(p.bucket_of(key), want) << count << " " << key;
+            ASSERT_EQ(got[i], want) << count << " " << key;
         }
     }
 }

@@ -603,6 +603,27 @@ TEST(BufferPoolTest, LeaseMoveTransfersOwnership) {
     EXPECT_GE(s.retained_records, 32u);
 }
 
+TEST(BufferPoolTest, ReusedLeaseGrowsToRequestedSize) {
+    // Leases grow without zero-fill; a buffer recycled from a smaller
+    // lease must still come back at exactly the requested size, with its
+    // old contents kept and every new record writable.
+    BufferPool pool;
+    {
+        auto small = pool.acquire(10);
+        for (std::size_t i = 0; i < small->size(); ++i) (*small)[i] = Record{i, i};
+    }
+    auto big = pool.acquire(5000);
+    EXPECT_EQ(big->size(), 5000u);
+    EXPECT_EQ(pool.stats().hits, 1u);
+    EXPECT_EQ((*big)[9], (Record{9, 9}));
+    for (std::size_t i = 0; i < big->size(); ++i) (*big)[i] = Record{i, 0};
+    EXPECT_EQ(big->back().key, 4999u);
+    big->resize(3);
+    big->resize(20);
+    EXPECT_EQ(big->size(), 20u);
+    EXPECT_EQ(Record{}, (Record{0, 0})); // value-initialized records stay zero
+}
+
 TEST(BufferPoolTest, PicksSmallestSufficientBuffer) {
     BufferPool pool;
     { auto a = pool.acquire(1000); }

@@ -475,6 +475,61 @@ TEST(SelectionKernel, MatchesSortAndIndexAcrossSizes) {
     }
 }
 
+TEST(SelectionKernel, MatchesSortAndIndexOnFewDistinctKeys) {
+    // Inputs whose digit buckets hold one key each: every rank lands in an
+    // all-equal bucket, answered without a gather.
+    Xoshiro256 rng(314);
+    for (std::size_t n : {std::size_t{5000}, std::size_t{1} << 17}) {
+        std::vector<std::uint64_t> keys(n, 0x0123'4567'89AB'CDEFull);
+        expect_select_matches(from_keys(keys), probe_ranks(n, 97), "all equal");
+        for (auto& k : keys) k = rng.below(2) == 0 ? 11 : 0x8000'0000'0000'0011ull;
+        expect_select_matches(from_keys(keys), probe_ranks(n, 97), "two keys");
+        std::vector<std::uint64_t> sixteen(16);
+        for (auto& k : sixteen) k = rng();
+        for (auto& k : keys) k = sixteen[rng.below(16)];
+        expect_select_matches(from_keys(keys), probe_ranks(n, 97), "16 keys");
+        // 16 keys, two pairs of which share a top digit: their buckets are
+        // not all-equal and are gathered next to the all-equal ones.
+        sixteen[1] = sixteen[0] + 1;
+        sixteen[3] = sixteen[2] ^ 0x10;
+        for (auto& k : keys) k = sixteen[rng.below(16)];
+        expect_select_matches(from_keys(keys), probe_ranks(n, 97), "16 keys, shared digits");
+    }
+}
+
+TEST(PivotProbe, MatchesStdBoundsForEveryPivotCount) {
+    Xoshiro256 rng(7);
+    for (std::size_t count = 0; count <= 130; ++count) {
+        for (bool dups : {false, true}) {
+            std::vector<std::uint64_t> pivots(count);
+            for (auto& p : pivots) p = dups ? rng.below(count / 2 + 1) * 1000 : rng();
+            std::sort(pivots.begin(), pivots.end());
+            std::vector<std::uint64_t> probes = {0, 1, ~std::uint64_t{0}, ~std::uint64_t{0} - 1};
+            for (std::uint64_t p : pivots) {
+                probes.insert(probes.end(), {p, p - 1, p + 1});
+            }
+            for (int i = 0; i < 16; ++i) probes.push_back(rng());
+            while (probes.size() % 8 != 0) probes.push_back(rng());
+            for (std::size_t i = 0; i < probes.size(); i += 8) {
+                std::uint64_t batch[8];
+                std::uint32_t got[8];
+                std::copy_n(probes.begin() + static_cast<std::ptrdiff_t>(i), 8, batch);
+                pivot_lower_bound_batch(pivots, batch, got);
+                for (std::size_t j = 0; j < 8; ++j) {
+                    const std::uint64_t key = batch[j];
+                    const auto lower = static_cast<std::uint32_t>(
+                        std::lower_bound(pivots.begin(), pivots.end(), key) - pivots.begin());
+                    const auto upper = static_cast<std::uint32_t>(
+                        std::upper_bound(pivots.begin(), pivots.end(), key) - pivots.begin());
+                    ASSERT_EQ(pivot_lower_bound(pivots, key), lower) << count << " " << key;
+                    ASSERT_EQ(pivot_upper_bound(pivots, key), upper) << count << " " << key;
+                    ASSERT_EQ(got[j], lower) << count << " " << key;
+                }
+            }
+        }
+    }
+}
+
 /// Payload = input index, so equal keys witness stability.
 std::vector<Record> indexed(std::vector<Record> recs) {
     for (std::size_t i = 0; i < recs.size(); ++i) recs[i].payload = i;

@@ -28,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "pdm/disk_array.hpp"
+#include "pram/parallel_sort.hpp"
 #include "svc/sort_scheduler.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/workload.hpp"
@@ -165,9 +166,15 @@ std::vector<JobStatus> run_schedule_exec(const std::vector<JobSpec>& specs,
 
 /// Jobs asking for 4 compute lanes on an executor sized to exactly honor
 /// them (3 workers + the job thread), independent of the host's core count.
+/// Their memoryloads reach kParallelCutoff, so the Balance partition and
+/// the base-case sort really fan out over the lanes.
 std::vector<JobSpec> make_wide_specs(std::size_t count) {
     auto specs = make_specs(count);
-    for (JobSpec& s : specs) s.config.threads(4);
+    for (JobSpec& s : specs) {
+        s.config.threads(4);
+        s.n = 4 * kParallelCutoff + 2048 * (&s - specs.data());
+        s.m = kParallelCutoff;
+    }
     return specs;
 }
 
